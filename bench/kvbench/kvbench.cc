@@ -2,8 +2,10 @@
 //
 // One process loads a Store (default options plus a log directory), serves
 // it through the epoll BasicServer (2 workers) on loopback, and drives it
-// with its own load generator (loadgen.h): a warm-up, a closed-loop phase
-// for throughput, an open-loop phase for latency, then correctness checks.
+// with its own load generator (loadgen.h): a warm-up, then closed-loop
+// windows (throughput) alternating with open-loop windows (latency), then
+// correctness checks. The gated numbers are the server's CPU cycles per op
+// in each kind of window; README.md says why.
 // `--trace 1` serves the same store through BasicServer<TracedStore>
 // (traced_store.h) and reports per-layer numbers instead.
 //
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -116,6 +119,31 @@ HostCpu host_cpu() {
   return h;
 }
 
+uint64_t thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ull + static_cast<uint64_t>(ts.tv_nsec);
+}
+
+// The core clock, in cycles per ns, from timing a dependent chain of 64-bit
+// multiply-adds (a 3-cycle multiply then a 1-cycle add on current x86 cores)
+// in this thread's CPU time, so a preempted vCPU does not read as a slow
+// one. Other guests on a shared host move this clock by up to a third
+// within minutes; CPU time times the clock gives cycles, which that moves
+// much less.
+double clock_ghz() {
+  constexpr uint64_t kIters = 10'000'000;
+  static std::atomic<uint64_t> sink{0};
+  uint64_t x = masstree::now_ns();
+  const uint64_t t0 = thread_cpu_ns();
+  for (uint64_t i = 0; i < kIters; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  const uint64_t t1 = thread_cpu_ns();
+  sink.store(x, std::memory_order_relaxed);
+  return 4.0 * static_cast<double>(kIters) / static_cast<double>(t1 - t0);
+}
+
 double steal_pct(const HostCpu& a, const HostCpu& b) {
   return b.total > a.total
              ? 100.0 * static_cast<double>(b.steal - a.steal) / static_cast<double>(b.total - a.total)
@@ -136,11 +164,44 @@ uint64_t cpu_delta(const std::map<int, uint64_t>& a, const std::map<int, uint64_
   return sum;
 }
 
-double median(std::vector<double> v) {
+// CPU time of the server side of the process, slice by slice: every thread
+// except the calling (main) thread and the generator's, i.e. the server
+// workers, the log writers and the store's maintenance thread.
+struct ServerCpu {
+  std::vector<uint64_t> slice_ns;  // one per slice, window after window
+  std::map<int, uint64_t> last;
+
+  // Called at every edge of a window, with that window's generator results.
+  void edge(unsigned i, const ThreadResult* gen) {
+    std::map<int, uint64_t> now = task_cpu_ns();
+    if (i > 0) {
+      std::set<int> tids;
+      for (const auto& e : now) {
+        tids.insert(e.first);
+      }
+      tids.erase(current_tid());
+      for (unsigned t = 0; t < kGenThreads; ++t) {
+        tids.erase(gen[t].tid.load(std::memory_order_acquire));
+      }
+      slice_ns.push_back(cpu_delta(last, now, tids));
+    }
+    last = std::move(now);
+  }
+};
+
+// Quantile q of v, interpolating between neighbours; 0 if v is empty.
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) {
+    return 0;
+  }
   std::sort(v.begin(), v.end());
-  size_t n = v.size();
-  return n == 0 ? 0 : (n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2);
+  double pos = q * static_cast<double>(v.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
+
+double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
 // Nearest-rank percentile, in microseconds.
 double percentile_us(std::vector<uint64_t> v, double q) {
@@ -153,20 +214,26 @@ double percentile_us(std::vector<uint64_t> v, double q) {
   return static_cast<double>(v[k]) / 1e3;
 }
 
-// Open-loop percentiles are taken per slice of the window, by due time.
-double windowed_percentile_us(const std::vector<LatSample>& v, uint64_t start, uint64_t end,
-                              double q) {
+// Open-loop percentiles are taken per slice of the window, by due time;
+// appends one value per non-empty slice to *per.
+void slice_percentiles_us(const std::vector<LatSample>& v, uint64_t start, uint64_t end, double q,
+                          std::vector<double>* per) {
   std::vector<std::vector<uint64_t>> slices(kSubWindows);
   for (const LatSample& s : v) {
     uint64_t i = (s.due_ns - start) * kSubWindows / (end - start);
     slices[std::min<uint64_t>(i, kSubWindows - 1)].push_back(s.ns);
   }
-  std::vector<double> per;
   for (const auto& sl : slices) {
     if (!sl.empty()) {
-      per.push_back(percentile_us(sl, q));
+      per->push_back(percentile_us(sl, q));
     }
   }
+}
+
+double windowed_percentile_us(const std::vector<LatSample>& v, uint64_t start, uint64_t end,
+                              double q) {
+  std::vector<double> per;
+  slice_percentiles_us(v, start, end, q, &per);
   return median(per);
 }
 
@@ -363,8 +430,8 @@ struct Report {
 };
 
 // The metric names BENCHMARK.json lists, in the order it lists them.
-const std::vector<std::string> kEndToEnd = {"throughput_kops", "read_p50_us", "setup_s",
-                                            "mem_bytes_per_key"};
+const std::vector<std::string> kEndToEnd = {"server_cycles_per_op", "server_cycles_per_op_at_rate",
+                                            "setup_s", "mem_bytes_per_key"};
 const std::vector<std::string> kPerLayer = {
     "client.cpu_ns_per_op",      "client.late_p99_us",
     "net.worker_cpu_ns_per_op",  "net.self_ns_per_op",
@@ -389,20 +456,23 @@ const std::vector<std::string> kPerLayer = {
 struct Throughput {
   double kops = 0;
   double min_kops = 0, max_kops = 0;  // slowest and fastest slice
-  uint64_t ops = 0;                   // the whole window
-  std::vector<double> slices;         // kops/s of each slice
+  uint64_t ops = 0;                   // all windows
+  std::vector<double> slices;         // kops/s of each slice, window by window
 };
 
-Throughput throughput(const ThreadResult* r, const PhaseSpec& p) {
-  double slice_s = static_cast<double>(p.end_ns - p.start_ns) / 1e9 / kSubWindows;
+// Over `n` closed-loop windows; window b's results are r[b * kGenThreads ...].
+Throughput throughput(const ThreadResult* r, const PhaseSpec* p, unsigned n) {
   Throughput tp;
-  for (unsigned i = 0; i < kSubWindows; ++i) {
-    uint64_t ops = 0;
-    for (unsigned t = 0; t < kGenThreads; ++t) {
-      ops += r[t].window_ops[i];
+  for (unsigned b = 0; b < n; ++b) {
+    double slice_s = static_cast<double>(p[b].end_ns - p[b].start_ns) / 1e9 / kSubWindows;
+    for (unsigned i = 0; i < kSubWindows; ++i) {
+      uint64_t ops = 0;
+      for (unsigned t = 0; t < kGenThreads; ++t) {
+        ops += r[b * kGenThreads + t].window_ops[i];
+      }
+      tp.ops += ops;
+      tp.slices.push_back(static_cast<double>(ops) / slice_s / 1e3);
     }
-    tp.ops += ops;
-    tp.slices.push_back(static_cast<double>(ops) / slice_s / 1e3);
   }
   tp.kops = median(tp.slices);
   tp.min_kops = *std::min_element(tp.slices.begin(), tp.slices.end());
@@ -428,10 +498,14 @@ typename masstree::BasicServer<S>::Options server_options() {
 
 uint64_t from_now(double s) { return masstree::now_ns() + static_cast<uint64_t>(s * 1e9); }
 
+// The generator threads get this long to connect before a window starts.
+constexpr double kConnectS = 0.05;
+
 PhaseSpec closed_phase(double warm_s, double window_s) {
   PhaseSpec p;
-  p.start_ns = from_now(warm_s);
+  p.start_ns = from_now(std::max(warm_s, kConnectS));
   p.end_ns = p.start_ns + static_cast<uint64_t>(window_s * 1e9);
+  p.acked_from_ns = p.start_ns;
   return p;
 }
 
@@ -439,8 +513,9 @@ PhaseSpec open_phase(double rate, double window_s) {
   PhaseSpec p;
   p.open = true;
   p.rate = rate;
-  p.start_ns = from_now(0.05);  // lets the generator threads connect first
+  p.start_ns = from_now(kConnectS);
   p.end_ns = p.start_ns + static_cast<uint64_t>(window_s * 1e9);
+  p.acked_from_ns = p.start_ns;
   return p;
 }
 
@@ -598,61 +673,130 @@ void print_line(const char* name, double v, const char* unit, const std::string&
   std::printf("%-28s %14.3f %-8s %s\n", name, v, unit, detail.c_str());
 }
 
-// --trace 0: a closed loop for throughput, then an open loop for latency,
-// on BasicServer<Store>. Adds the windowed end-to-end metrics to `rep`.
+// An untraced run alternates closed and open loop this many times, so both
+// kinds of window sample the whole measured span, and a drift of the host's
+// speed during the run reaches both alike.
+constexpr unsigned kBlocks = 4;
+
+// --trace 0: closed-loop windows (throughput) alternating with open-loop
+// windows (latency) on BasicServer<Store>, with the server's CPU time taken
+// at every slice edge and the core clock between windows. Adds the windowed
+// end-to-end metrics to `rep`.
 void measure_untraced(const Run& run, Store& store, GenShared& g, Report& rep) {
   const WorkloadSpec& w = run.w;
   masstree::BasicServer<Store> srv(store, server_options<Store>());
   srv.start();
-  ThreadResult closed[kGenThreads], open[kGenThreads];
+  const double block_s = run.tm.seconds / 2 / kBlocks;
+  auto closed = std::make_unique<ThreadResult[]>(kBlocks * kGenThreads);
+  auto open = std::make_unique<ThreadResult[]>(kBlocks * kGenThreads);
+  PhaseSpec pc[kBlocks], po[kBlocks];
   Store::LogTotals lt0;
   HostCpu h0, h1;
-  PhaseSpec pc = closed_phase(run.tm.warm_s, run.tm.seconds / 2);
-  run_phase(g, srv.port(), pc, closed, [&](unsigned i) {
-    if (i == 0) {
-      lt0 = store.log_totals();
-      h0 = host_cpu();
-    }
-  });
-  PhaseSpec po = open_phase(w.open_rate, run.tm.seconds / 2);
-  run_phase(g, srv.port(), po, open, [&](unsigned i) {
-    if (i == kSubWindows) {
-      h1 = host_cpu();
-    }
-  });
+  ServerCpu busy_cpu, open_cpu;
+  std::vector<double> ghz;  // sampled between windows, while the server idles
+  for (unsigned b = 0; b < kBlocks; ++b) {
+    ghz.push_back(clock_ghz());
+    // Only the first window warms up; the later ones fill their pipelines
+    // while connecting. Log bytes and acked bytes count from the first.
+    pc[b] = closed_phase(b == 0 ? run.tm.warm_s : 0, block_s);
+    pc[b].acked_from_ns = pc[0].start_ns;
+    ThreadResult* rc = closed.get() + b * kGenThreads;
+    run_phase(g, srv.port(), pc[b], rc, [&](unsigned i) {
+      busy_cpu.edge(i, rc);
+      if (b == 0 && i == 0) {
+        lt0 = store.log_totals();
+        h0 = host_cpu();
+      }
+    });
+    ghz.push_back(clock_ghz());
+    po[b] = open_phase(w.open_rate, block_s);
+    ThreadResult* ro = open.get() + b * kGenThreads;
+    run_phase(g, srv.port(), po[b], ro, [&](unsigned i) {
+      open_cpu.edge(i, ro);
+      if (b == kBlocks - 1 && i == kSubWindows) {
+        h1 = host_cpu();
+      }
+    });
+  }
+  ghz.push_back(clock_ghz());
   srv.stop();
   store.sync_logs();
   Store::LogTotals lt1 = store.log_totals();
-  rep.absorb(closed, kGenThreads);
-  rep.absorb(open, kGenThreads);
+  rep.absorb(closed.get(), kBlocks * kGenThreads);
+  rep.absorb(open.get(), kBlocks * kGenThreads);
 
-  double open_s = static_cast<double>(po.end_ns - po.start_ns) / 1e9;
-  Throughput tp = throughput(closed, pc);
-  std::vector<LatSample> rl = gather(open, &ThreadResult::read_lat);
-  std::vector<LatSample> wl = gather(open, &ThreadResult::write_lat);
-  auto pct = [&](const std::vector<LatSample>& v, double q) {
-    return windowed_percentile_us(v, po.start_ns, po.end_ns, q);
+  const Throughput tp = throughput(closed.get(), pc, kBlocks);
+  // Per-slice percentiles of every open-loop window, and their median.
+  std::vector<LatSample> rl, wl;
+  auto pct = [&](std::vector<LatSample> ThreadResult::*field, double q) {
+    std::vector<double> per;
+    for (unsigned b = 0; b < kBlocks; ++b) {
+      slice_percentiles_us(gather(open.get() + b * kGenThreads, field), po[b].start_ns,
+                           po[b].end_ns, q, &per);
+    }
+    return median(per);
   };
+  double open_s = 0;
   uint64_t sent = 0, user_bytes = 0;
-  for (unsigned t = 0; t < kGenThreads; ++t) {
-    sent += open[t].sent_reqs;
-    user_bytes += closed[t].acked_user_bytes + open[t].acked_user_bytes;
+  for (unsigned b = 0; b < kBlocks; ++b) {
+    open_s += static_cast<double>(po[b].end_ns - po[b].start_ns) / 1e9;
+    const ThreadResult* r = open.get() + b * kGenThreads;
+    std::vector<LatSample> rb = gather(r, &ThreadResult::read_lat);
+    std::vector<LatSample> wb = gather(r, &ThreadResult::write_lat);
+    rl.insert(rl.end(), rb.begin(), rb.end());
+    wl.insert(wl.end(), wb.begin(), wb.end());
+    for (unsigned t = 0; t < kGenThreads; ++t) {
+      sent += r[t].sent_reqs;
+      user_bytes += closed[b * kGenThreads + t].acked_user_bytes + r[t].acked_user_bytes;
+    }
   }
+  const double read_p50 = pct(&ThreadResult::read_lat, 0.50);
+  // Server cycles per op completed, slice by slice. Other guests only ever
+  // add cycles (cache, memory and core contention), so the lower quartile
+  // of the slices is the steadier estimate of the program's own cost.
+  const double clock = median(ghz);
+  auto cycles_per_op = [&](const ServerCpu& cpu, const ThreadResult* r) {
+    std::vector<double> per;
+    for (size_t s = 0; s < cpu.slice_ns.size(); ++s) {
+      uint64_t ops = 0;
+      for (unsigned t = 0; t < kGenThreads; ++t) {
+        ops += r[s / kSubWindows * kGenThreads + t].window_ops[s % kSubWindows];
+      }
+      if (ops > 0) {
+        per.push_back(static_cast<double>(cpu.slice_ns[s]) * clock / static_cast<double>(ops));
+      }
+    }
+    return per;
+  };
+  const std::vector<double> busy_slices = cycles_per_op(busy_cpu, closed.get());
+  const std::vector<double> open_slices = cycles_per_op(open_cpu, open.get());
+  const double busy_cycles = quantile(busy_slices, 0.25);
+  const double open_cycles = quantile(open_slices, 0.25);
   char detail[160];
+  std::snprintf(detail, sizeof(detail),
+                "closed loop; lower quartile of %zu slices (median %.0f); clock %.3f GHz",
+                busy_slices.size(), median(busy_slices), clock);
+  print_line("server_cycles_per_op", busy_cycles, "cycles", detail);
+  std::snprintf(detail, sizeof(detail),
+                "open loop; lower quartile of %zu slices (median %.0f); clock %.3f..%.3f GHz",
+                open_slices.size(), median(open_slices), *std::min_element(ghz.begin(), ghz.end()),
+                *std::max_element(ghz.begin(), ghz.end()));
+  print_line("server_cycles_per_op_at_rate", open_cycles, "cycles", detail);
   std::snprintf(detail, sizeof(detail),
                 "closed loop, %u conns x depth %u, %llu ops; slices %.0f..%.0f", kConns,
                 kClosedDepth, static_cast<unsigned long long>(tp.ops), tp.min_kops, tp.max_kops);
   print_line("throughput_kops", tp.kops, "kops/s", detail);
   std::snprintf(detail, sizeof(detail), "open loop: %.0f req/s offered, %.0f sent, %zu samples",
                 w.open_rate, static_cast<double>(sent) / open_s, rl.size());
-  print_line("read_p50_us", pct(rl, 0.50), "us", detail);
-  print_line("read_p99_us", pct(rl, 0.99), "us",
-             "median of " + std::to_string(kSubWindows) + " slice p99s; not gated (README)");
+  print_line("read_p50_us", read_p50, "us", detail);
+  print_line("read_p99_us", pct(&ThreadResult::read_lat, 0.99), "us",
+             "median of " + std::to_string(kBlocks * kSubWindows) + " slice p99s; not gated (README)");
   print_line("read_p999_us", overall_percentile_us(rl, 0.999), "us",
-             "whole window, information only");
+             "all open-loop windows, information only");
   if (!wl.empty()) {
-    print_line("write_p50_us", pct(wl, 0.50), "us", std::to_string(wl.size()) + " samples");
-    print_line("write_p99_us", pct(wl, 0.99), "us", "");
+    print_line("write_p50_us", pct(&ThreadResult::write_lat, 0.50), "us",
+               std::to_string(wl.size()) + " samples");
+    print_line("write_p99_us", pct(&ThreadResult::write_lat, 0.99), "us", "");
     print_line("log_bytes_per_user_byte",
                ratio(static_cast<double>(lt1.flush_bytes - lt0.flush_bytes),
                      static_cast<double>(user_bytes)),
@@ -661,8 +805,8 @@ void measure_untraced(const Run& run, Store& store, GenShared& g, Report& rep) {
   print_line("host_steal_pct", steal_pct(h0, h1), "%",
              "CPU the hypervisor gave other guests while measuring; see README");
 
-  rep.add("throughput_kops", tp.kops, "kops/s");
-  rep.add("read_p50_us", pct(rl, 0.50), "us");
+  rep.add("server_cycles_per_op", busy_cycles, "cycles");
+  rep.add("server_cycles_per_op_at_rate", open_cycles, "cycles");
 }
 
 // --trace 1: one closed loop on BasicServer<TracedStore> with tracing on in
@@ -712,7 +856,7 @@ void measure_traced(const Run& run, TracedStore& store, GenShared& g, const Load
   const double window_s = static_cast<double>(pb.end_ns - pb.start_ns) / 1e9;
   const double traced_s = window_s / 2;
   const double open_s = static_cast<double>(pc.end_ns - pc.start_ns) / 1e9;
-  const Throughput tp = throughput(closed, pb);
+  const Throughput tp = throughput(closed, &pb, 1);
   std::vector<double> on, off;
   double ops = 0;  // completed in traced slices
   for (unsigned i = 0; i < kSubWindows; ++i) {
@@ -957,8 +1101,8 @@ bool has_all(const Report& rep, const std::vector<std::string>& names) {
   return true;
 }
 
-// Tier-1 smoke: every workload at 50k keys with 1 s phases, then one traced
-// pass; every metric must be present and every check must pass.
+// Tier-1 smoke: every workload at 50k keys with 2 s of windows, then one
+// traced pass; every metric must be present and every check must pass.
 int smoke(const std::string& dir) {
   bool ok = true;
   Timing tm{2.0, 0.3, 1};

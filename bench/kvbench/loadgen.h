@@ -61,10 +61,11 @@ struct GenShared {
 
 struct PhaseSpec {
   bool open = false;
-  uint64_t start_ns = 0;  // window start; a closed loop warms up before it
-  uint64_t end_ns = 0;    // window end; in-flight requests then drain
-  double rate = 0;        // open loop: requests/s over all threads
-  bool spans = false;     // keep request spans that fall in the window
+  uint64_t start_ns = 0;       // window start; a closed loop warms up before it
+  uint64_t end_ns = 0;         // window end; in-flight requests then drain
+  uint64_t acked_from_ns = 0;  // writes acked from here on count in acked_user_bytes
+  double rate = 0;             // open loop: requests/s over all threads
+  bool spans = false;          // keep request spans that fall in the window
 };
 
 enum ReqKind : uint8_t { kReadReq, kWriteReq, kScanReq, kInsertReq };
@@ -93,7 +94,7 @@ struct ThreadResult {
   uint64_t sent_reqs = 0;    // open loop: arrivals sent
   uint64_t attempted = 0;    // ops sent during the whole phase
   uint64_t failed = 0;
-  uint64_t acked_user_bytes = 0;  // key + value bytes of writes acked after start_ns
+  uint64_t acked_user_bytes = 0;  // key + value bytes of writes acked after acked_from_ns
   std::vector<LatSample> read_lat, write_lat, late;  // open loop
   std::vector<GenSpan> spans;
   std::string error;  // first failure seen, for the report
@@ -439,7 +440,7 @@ class Generator {
     unsigned bad = check(c, r, body);
     out_.failed += bad;
     uint64_t now = masstree::now_ns();
-    if (now >= ps_.start_ns) {
+    if (now >= ps_.acked_from_ns) {
       out_.acked_user_bytes += acked_bytes_;
     }
     if (now >= ps_.start_ns && now < ps_.end_ns) {
