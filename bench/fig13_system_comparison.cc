@@ -19,13 +19,10 @@
 // 2.70 / 5.28; -E 0.91 / ~0 / ~0 / N/A / N/A.
 
 // After the model table, the binary runs the §6.1 connections-vs-throughput
-// sweep: the epoll event-loop server (src/net/server.h) against the
-// thread-per-connection-era blocking baseline (src/net/blocking_server.h),
-// both serving the same store over the real wire protocol at 1/8/64/256
-// connections and pipeline depths 1 and 16. The event loop must win at 64+
-// connections — that is where cross-connection batch formation (gets
-// coalesced into Tree::multiget, the PALM observation) and non-blocking
-// writes pay for themselves.
+// sweep: the epoll event-loop server (src/net/server.h) serving the store
+// over the real wire protocol at 1/8/64/256 connections and pipeline depths
+// 1 and 16, plus how many gets reached Tree::multiget through
+// cross-connection batch formation (the PALM observation).
 
 #include <algorithm>
 #include <filesystem>
@@ -35,7 +32,6 @@
 #include "bench/common.h"
 #include "bench/net_driver.h"
 #include "kvstore/store.h"
-#include "net/blocking_server.h"
 #include "net/server.h"
 #include "sysmodels/models.h"
 #include "util/busywork.h"
@@ -207,8 +203,7 @@ void prefill_mycsb(KVModel& m, const Env& e) {
 // ---- §6.1 connections vs throughput ----
 
 void run_net_sweep(const Env& e) {
-  std::printf("\n-- connections vs throughput (§6.1): epoll event loop vs "
-              "blocking baseline --\n");
+  std::printf("\n-- connections vs throughput (§6.1): epoll event loop --\n");
   uint64_t keyspace = std::min<uint64_t>(e.keys, 100000);
   Store store;
   {
@@ -217,20 +212,13 @@ void run_net_sweep(const Env& e) {
       store.put(decimal_key(i), {{0, "8bytes!!"}}, s);
     }
   }
-  Server loop_server(store, Server::Options{0, e.threads});
-  loop_server.start();
-  BlockingServer<Store> block_server(store, {0, e.threads});
-  block_server.start();
+  Server server(store, Server::Options{0, e.threads});
+  server.start();
 
-  std::printf("%6s %6s %13s %13s %8s\n", "conns", "depth", "eventloop", "blocking",
-              "ratio");
-  // Best-of-two per cell, measurements interleaved (as bench_json does for
-  // the logging overhead pair): one pass per server is scheduler-noise
-  // roulette on small boxes. The 64+ verdict compares each connection
-  // count's combined (geometric-mean) throughput across the two depths.
-  bool beats_at_scale = true;
+  // Best of two per cell: one pass is scheduler-noise roulette on small
+  // boxes.
+  std::printf("%6s %6s %13s\n", "conns", "depth", "get");
   for (unsigned conns : {1u, 8u, 64u, 256u}) {
-    double ev_geo = 1.0, bl_geo = 1.0;
     for (unsigned depth : {1u, 16u}) {
       bench::NetDriveConfig cfg;
       cfg.nconns = conns;
@@ -238,29 +226,18 @@ void run_net_sweep(const Env& e) {
       cfg.keyspace = keyspace;
       cfg.threads = std::min(e.threads, conns);
       cfg.secs = e.secs;
-      double ev = 0.0, bl = 0.0;
+      double mops = 0.0;
       for (int rep = 0; rep < 2; ++rep) {
-        ev = std::max(ev, bench::drive_gets(loop_server.port(), cfg));
-        bl = std::max(bl, bench::drive_gets(block_server.port(), cfg));
+        mops = std::max(mops, bench::drive_gets(server.port(), cfg));
       }
-      std::printf("%6u %6u %11.3f M %11.3f M %7.2fx\n", conns, depth, ev, bl,
-                  bl > 0 ? ev / bl : 0.0);
-      ev_geo *= ev;
-      bl_geo *= bl;
-    }
-    if (conns >= 64 && ev_geo < bl_geo) {
-      beats_at_scale = false;
+      std::printf("%6u %6u %11.3f M\n", conns, depth, mops);
     }
   }
   std::printf("cross-connection batched gets reaching Tree::multiget "
               "(kNetBatchedGets mirror): %llu in %llu batches\n",
-              static_cast<unsigned long long>(loop_server.batched_gets()),
-              static_cast<unsigned long long>(loop_server.batches_formed()));
-  std::printf("verdict: event loop %s the blocking per-connection baseline at "
-              "64+ connections\n",
-              beats_at_scale ? "beats" : "DOES NOT beat");
-  block_server.stop();
-  loop_server.stop();
+              static_cast<unsigned long long>(server.batched_gets()),
+              static_cast<unsigned long long>(server.batches_formed()));
+  server.stop();
 }
 
 }  // namespace

@@ -5,14 +5,12 @@
 // frames (of `gets_per_frame` uniform point gets each) in flight; driver
 // threads round-robin their connection slice, receiving the oldest frame and
 // immediately sending a replacement, so the offered load stays constant for
-// the whole timed window. Frames are small enough (a few hundred bytes each
-// way) that neither side can fill a kernel socket buffer and deadlock the
-// blocking baseline.
+// the whole timed window. Frames are small (a few hundred bytes each way),
+// so `depth` frames in flight never fill a kernel socket buffer.
 //
 // Used by fig13_system_comparison's connections-vs-throughput sweep and by
-// bench_json's net_get_mops metric, against both the event-loop Server and
-// the BlockingServer baseline — the driver only sees a port, so both servers
-// get identical offered load.
+// bench_json's net_get_mops / net_put_mops metrics. Both functions see only
+// a port, so any server speaking the wire protocol gets identical load.
 
 #ifndef MASSTREE_BENCH_NET_DRIVER_H_
 #define MASSTREE_BENCH_NET_DRIVER_H_

@@ -5,8 +5,10 @@
 // of the binary tree for gets and puts, respectively."
 //
 // Both backends run behind the SAME network server and logging stack; only
-// the tree differs. The binary tree is wrapped in a minimal Store-compatible
-// backend (single column, logging via the same Logger).
+// the tree differs. The binary tree is wrapped in a minimal Store-shaped
+// backend (logging via the same Logger) that supplies the server's two
+// batched seams itself: multiget_rows and multiput are plain loops of
+// single-key tree calls, since the binary tree has no pipelined batch path.
 
 #include <filesystem>
 
@@ -22,13 +24,16 @@ namespace masstree {
 namespace {
 
 // Store-shaped adapter over the +IntCmp binary tree so BasicServer can serve
-// it. Values are heap strings (single column); logging mirrors Store's
-// per-session shards: each session owns its own single-producer Logger.
+// it. Values are Rows built with Row::make, so gets encode exactly as
+// Store's do; logging mirrors Store's per-session shards: each session owns
+// its own single-producer Logger.
 class BinaryStore {
  public:
+  using PutOp = Store::PutOp;
+
   class Session {
    public:
-    Session(BinaryStore& store, unsigned) : store_(store) {
+    Session(BinaryStore& store, unsigned) {
       if (!store.log_dir_.empty()) {
         unsigned id = store.next_log_.fetch_add(1, std::memory_order_relaxed);
         logger_ = std::make_unique<Logger>(store.log_dir_ + "/binlog-" +
@@ -39,7 +44,6 @@ class BinaryStore {
 
    private:
     friend class BinaryStore;
-    BinaryStore& store_;
     std::unique_ptr<Logger> logger_;
     ThreadContext ti_;
   };
@@ -50,28 +54,35 @@ class BinaryStore {
     }
   }
 
-  bool get(std::string_view key, const std::vector<unsigned>&, std::vector<std::string>* out,
-           Session& s) const {
-    EpochGuard guard(s.ti_.slot());
-    uint64_t lv;
-    if (!tree_.get(key, &lv)) {
-      return false;
+  // The caller holds an EpochGuard on s.ti() while it reads the rows.
+  size_t multiget_rows(std::span<const std::string_view> keys, const Row** rows,
+                       Session&) const {
+    size_t found = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      uint64_t lv;
+      rows[i] = tree_.get(keys[i], &lv) ? Row::from_slot(lv) : nullptr;
+      found += rows[i] != nullptr;
     }
-    out->assign(1, *reinterpret_cast<const std::string*>(lv));
-    return true;
+    return found;
   }
 
-  bool put(std::string_view key, const std::vector<ColumnUpdate>& updates, Session& s) {
-    auto* value = new std::string(updates.empty() ? "" : std::string(updates[0].data));
-    bool inserted =
-        tree_.insert(key, reinterpret_cast<uint64_t>(value), &s.ti_.arena());
-    if (s.logger_ != nullptr) {
-      s.logger_->append_put(key, updates, 0);
+  // Removes are unsupported (found stays false); replaced rows leak, which
+  // is acceptable for a bench.
+  size_t multiput(std::span<PutOp> ops, Session& s) {
+    size_t applied = 0;
+    for (PutOp& op : ops) {
+      if (op.remove) {
+        continue;
+      }
+      Row* row = Row::make(s.ti_, op.updates, 0);
+      op.inserted = tree_.insert(op.key, Row::to_slot(row), &s.ti_.arena());
+      if (s.logger_ != nullptr) {
+        s.logger_->append_put(op.key, op.updates, 0);
+      }
+      ++applied;
     }
-    return inserted;  // note: replaced values leak; acceptable for a bench
+    return applied;
   }
-
-  bool remove(std::string_view, Session&) { return false; }  // unsupported
 
   template <typename F>
   size_t getrange(std::string_view, size_t, unsigned, F&&, Session&) const {
@@ -79,7 +90,6 @@ class BinaryStore {
   }
 
  private:
-  friend class Session;
   BinaryTree<FlowNodeAlloc, true> tree_;  // "+IntCmp"
   std::string log_dir_;
   std::atomic<unsigned> next_log_{0};

@@ -1,7 +1,7 @@
 // Incremental, allocation-free-in-steady-state framing for the event-loop
 // server (§6.1).
 //
-// The blocking server could lean on std::string append/erase per read; an
+// A blocking server can lean on std::string append/erase per read; an
 // event-loop worker that owns hundreds of connections cannot — every
 // connection keeps a reusable rx buffer (InBuffer) the decoder resumes over
 // across arbitrarily short reads, and a reusable circular tx buffer (TxRing)
@@ -196,8 +196,6 @@ class TxRing {
       buf_[index(pos + i)] = bytes[i];
     }
   }
-
-  void patch_u8(uint64_t pos, uint8_t v) { buf_[index(pos)] = static_cast<char>(v); }
 
   uint8_t peek_u8(uint64_t pos) const { return static_cast<uint8_t>(buf_[index(pos)]); }
 

@@ -13,16 +13,19 @@
 //      (netframe::InBuffer; the decoder resumes across short reads),
 //   2. parses every complete frame's ops in place — keys stay views into the
 //      rx buffer, no allocation per request in steady state,
-//   3. forms batches ACROSS connections: maximal runs of read ops (kGet,
-//      kMultiGet) from every connection are coalesced into single
-//      Tree::multiget drives, and maximal runs of write ops (kPut, kRemove,
-//      kMultiPut) are coalesced symmetrically into single Store::multiput
-//      drives (§4.8/PALM — both pipelined paths apply to independent network
-//      clients, not just in-process callers), while scans interleave inline.
-//      Each connection still sees its own ops execute in order: a connection
-//      contributes exactly one run per round, and within a round its reads
-//      execute before its next write would (read-your-writes per connection
-//      holds),
+//   3. forms batches ACROSS connections: every connection contributes its
+//      maximal run of read ops (kGet, kMultiGet) to one shared read batch,
+//      driven through Store::multiget_rows (Tree::multiget), or its maximal
+//      run of write ops (kPut, kRemove, kMultiPut) to one shared write
+//      batch, driven through Store::multiput (§4.8/PALM — both pipelined
+//      paths apply to independent network clients, not just in-process
+//      callers), while scans interleave inline. Reads and writes share one
+//      batch pipeline — run formation, chunking, affinity steering, the
+//      cross-worker mailbox — parameterized by op kind (Worker::Reads /
+//      Worker::Writes). Each connection still sees its own ops execute in
+//      order: a connection contributes exactly one run per round, and
+//      within a round its reads execute before its next write would
+//      (read-your-writes per connection holds),
 //   4. encodes responses straight into per-connection tx rings and flushes
 //      with writev; a connection whose client stops reading gets EPOLLOUT
 //      re-arm and an rx pause above the tx high-water mark — never a blocked
@@ -30,8 +33,7 @@
 //
 // The listener is itself routed through worker 0's epoll set, so accept()
 // never blocks anywhere: stop() wakes every worker via its eventfd, joins,
-// and only then closes the listen fd (the shutdown/accept race of the old
-// blocking server is structurally gone).
+// and only then closes the listen fd (no acceptor thread can race the close).
 //
 // Scans execute inline through StoreT::getrange, which drives the engine's
 // snapshot-batched ScanCursor (§3) — the other batch entry point.
@@ -66,9 +68,8 @@
 
 namespace masstree {
 
-// Backends that provide Store's raw batched-read seam get cross-connection
-// batch formation into Tree::multiget; others (§6.3 alternative backends)
-// fall back to sequential gets.
+// The two batched seams the server drives. multiget_rows: one pipelined
+// tree multiget returning epoch-protected row pointers (nullptr = absent).
 template <typename S>
 concept HasMultigetRows =
     requires(const S& s, std::span<const std::string_view> keys, const Row** rows,
@@ -76,18 +77,18 @@ concept HasMultigetRows =
       { s.multiget_rows(keys, rows, sess) } -> std::convertible_to<size_t>;
     };
 
-// Backends with the batched-write seam (Store::multiput over Store::PutOp)
-// get symmetric cross-connection write coalescing; others execute writes
-// inline, one store call per op, exactly as before.
+// multiput over S::PutOp: one pipelined tree multiput plus one grouped log
+// append; per-op results come back in the PutOps, including the read-only
+// refusal flag the server answers with kReadOnly.
 template <typename S>
 concept HasMultiput =
-    requires(S& s, std::span<typename S::PutOp> ops, typename S::Session& sess) {
+    requires(S& s, std::span<typename S::PutOp> ops, typename S::Session& sess,
+             const typename S::PutOp& op) {
       { s.multiput(ops, sess) } -> std::convertible_to<size_t>;
+      { op.rejected } -> std::convertible_to<bool>;
     };
 
-// Backends whose write paths report read-only degradation (Store's checked
-// variants) get the kReadOnly wire status; others keep the plain bool API
-// and can never refuse a write.
+// Store's checked single-key writes; unused here, kept for TracedStore's static_assert.
 template <typename S>
 concept HasCheckedWrites =
     requires(S& s, std::string_view key, const std::vector<ColumnUpdate>& upd,
@@ -97,26 +98,13 @@ concept HasCheckedWrites =
       { s.read_only() } -> std::convertible_to<bool>;
     };
 
-namespace netdetail {
-// The write-batch pools hold StoreT::PutOp elements, a type that only exists
-// for multiput-capable backends; this indirection keeps BasicServer
-// instantiable for the others (the pools degenerate to an empty-struct
-// vector that is never touched).
-template <typename S, bool = HasMultiput<S>>
-struct PutOpPool {
-  using type = std::vector<typename S::PutOp>;
-};
-template <typename S>
-struct PutOpPool<S, false> {
-  struct None {};
-  using type = std::vector<None>;
-};
-}  // namespace netdetail
-
 // The server is a template so alternative backends (§6.3 benches a binary
-// tree behind the same network stack) can reuse it; any type with Store's
-// Session/get/put/remove/getrange interface works.
+// tree behind the same network stack) can reuse it. A backend provides
+// Store's serving interface: a Session(store, worker_id) whose ti() carries
+// the epoch slot and counters, the two batched seams above, and getrange
+// for scans.
 template <typename StoreT = Store>
+  requires HasMultigetRows<StoreT> && HasMultiput<StoreT>
 class BasicServer {
  public:
   struct Options {
@@ -206,22 +194,16 @@ class BasicServer {
   }
 
   uint16_t port() const { return port_; }
-  uint64_t ops_served() const { return ops_served_.load(std::memory_order_relaxed); }
+  uint64_t ops_served() const { return load(ops_served_); }
   // Cross-request batch formation telemetry: gets that reached Tree::multiget
   // through a formed batch coalescing >= 2 request ops, and the number of
   // such batches. (Workers also count Counter::kNetBatchedGets in their
   // sessions' ThreadCounters.)
-  uint64_t batched_gets() const { return batched_gets_.load(std::memory_order_relaxed); }
-  uint64_t batches_formed() const {
-    return batches_formed_.load(std::memory_order_relaxed);
-  }
-  // Write-side twins: puts/removes that reached Store::multiput through a
-  // formed batch coalescing >= 2 request ops, and the number of such
-  // batches. (Workers also count Counter::kNetBatchedPuts.)
-  uint64_t batched_puts() const { return batched_puts_.load(std::memory_order_relaxed); }
-  uint64_t wbatches_formed() const {
-    return wbatches_formed_.load(std::memory_order_relaxed);
-  }
+  uint64_t batched_gets() const { return load(stats_[kReadKind].batched); }
+  uint64_t batches_formed() const { return load(stats_[kReadKind].batches); }
+  // The same for puts/removes reaching Store::multiput (Counter::kNetBatchedPuts).
+  uint64_t batched_puts() const { return load(stats_[kWriteKind].batched); }
+  uint64_t wbatches_formed() const { return load(stats_[kWriteKind].batches); }
 
   // ---- partition-affinity routing ------------------------------------
   // The ownership function. Same hash as the record cache's buckets
@@ -231,26 +213,33 @@ class BasicServer {
     return nworkers <= 1 ? 0 : static_cast<unsigned>(key_hash64(key) % nworkers);
   }
   unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
-  // Keyed ops whose tree/store work ran on worker w's session: inline
-  // writes/scans, locally-executed batch keys, and steered keys it drained
-  // from its mailbox. The affinity tests' observable.
+  // Keyed ops whose tree/store work ran on worker w's session: scans,
+  // locally-executed batch items, and steered items it drained from its
+  // mailbox. The affinity tests' observable.
   uint64_t keyed_ops(unsigned w) const {
     return workers_[w]->keyed.load(std::memory_order_relaxed);
   }
-  // Batched-read keys shipped to their owning worker's session.
-  uint64_t steered_gets() const {
-    return steered_gets_.load(std::memory_order_relaxed);
-  }
-  // Batched-write ops shipped to their owning worker's session.
-  uint64_t steered_puts() const {
-    return steered_puts_.load(std::memory_order_relaxed);
-  }
+  // Batched-read keys / batched-write ops shipped to their owning worker's
+  // session.
+  uint64_t steered_gets() const { return load(stats_[kReadKind].steered); }
+  uint64_t steered_puts() const { return load(stats_[kWriteKind].steered); }
   // Connections closed by the idle sweep (Options::idle_timeout_ms).
-  uint64_t idle_reaped() const {
-    return idle_reaped_.load(std::memory_order_relaxed);
-  }
+  uint64_t idle_reaped() const { return load(idle_reaped_); }
 
  private:
+  static uint64_t load(const std::atomic<uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
+  }
+
+  // The batch pipeline's two op kinds (Worker::Reads / Worker::Writes) and
+  // their telemetry.
+  enum OpKind : unsigned { kReadKind, kWriteKind, kNumOpKinds };
+  struct KindStats {
+    std::atomic<uint64_t> batched{0};  // items in batches of >= 2 request ops
+    std::atomic<uint64_t> batches{0};  // such batches
+    std::atomic<uint64_t> steered{0};  // items shipped to their owner worker
+  };
+
   struct Conn {
     int fd = -1;
     size_t idx = 0;  // position in Worker::conns
@@ -295,41 +284,26 @@ class BasicServer {
     uint64_t frame_len_pos = 0;
   };
 
-  // One batchable read op's slot in the formed batch.
+  // One batchable op's slot in its kind's formed batch: `n` items starting
+  // at items[off] (keys for reads; StoreT::PutOps for writes, where
+  // kPut/kRemove contribute one and kMultiPut one per wire entry).
   struct BatchRef {
-    uint32_t work;     // -> works
-    uint32_t opi;      // -> ops
-    uint32_t key_off;  // first key in batch_keys
-    uint32_t nkeys;
+    uint32_t work;  // -> works
+    uint32_t opi;   // -> ops
+    uint32_t off;   // first item
+    uint32_t n;
   };
 
-  // One batchable write op's slot in the formed write batch: `nops`
-  // StoreT::PutOps starting at store_ops[op_off] (kPut/kRemove contribute
-  // one, kMultiPut one per wire entry).
-  struct WBatchRef {
-    uint32_t work;    // -> works
-    uint32_t opi;     // -> ops
-    uint32_t op_off;  // first op in store_ops
-    uint32_t nops;
-  };
-
-  // One steered slice of a formed batch: the owning worker runs `keys`
-  // through its own session, writes `rows`, then bumps *done (release; the
-  // spinning origin's acquire load makes the row writes visible).
-  struct RemoteGetJob {
-    const std::string_view* keys;
-    size_t nkeys;
-    const Row** rows;
-    std::atomic<uint32_t>* done;
-  };
-
-  // Write-side steering twin: the owner runs `ops` (a StoreT::PutOp array,
-  // type-erased so non-multiput backends still instantiate) through its own
-  // session's Store::multiput, filling each op's inserted/found results,
-  // then bumps *done.
-  struct RemoteWriteJob {
-    void* ops;
-    size_t nops;
+  // One steered slice of a formed batch: the owning worker runs `n` items
+  // through its own session with its kind's store call (`run`), writes the
+  // n results, then bumps *done (release; the spinning origin's acquire
+  // load makes the result writes visible).
+  struct Worker;
+  struct RemoteJob {
+    void (*run)(Worker& w, void* items, void* results, size_t n);
+    void* items;
+    void* results;
+    size_t n;
     std::atomic<uint32_t>* done;
   };
 
@@ -659,9 +633,7 @@ class BasicServer {
           continue;  // already on its way out
         }
         if (now - c->last_active_ns >= window_ns) {
-          if constexpr (requires { session.ti().counters(); }) {
-            session.ti().counters().inc(Counter::kNetIdleReaped);
-          }
+          session.ti().counters().inc(Counter::kNetIdleReaped);
           server.idle_reaped_.fetch_add(1, std::memory_order_relaxed);
           close_conn(c);
         }
@@ -995,247 +967,321 @@ class BasicServer {
              netframe::FrameStatus::kFrame;
     }
 
+    // ---- the two op kinds -------------------------------------------------
+    // Everything the shared batch pipeline below does not know about an op
+    // kind: which ops it batches, the items an op contributes, the per-item
+    // result, the store call, and the response encoding. Run formation,
+    // chunking, affinity steering, the mailbox, and the shutdown steal-back
+    // are one code path for both.
+    struct Reads {
+      static constexpr OpKind kKind = kReadKind;
+      static constexpr Counter kBatchedCounter = Counter::kNetBatchedGets;
+      using Item = std::string_view;  // the key
+      using Result = const Row*;      // nullptr = absent
+      // Rows are epoch-protected pointers: a chunk stays pinned from the
+      // store call (or the steering wait) until its responses are encoded.
+      // A steered row is safe too: any row its owner could still reach was
+      // retired no earlier than one epoch before our pin, and reclaim frees
+      // only two epochs past the retire.
+      struct Pin : EpochGuard {
+        explicit Pin(Worker& w) : EpochGuard(w.session.ti().slot()) {}
+      };
+
+      static bool handles(NetOp op) {
+        return op == NetOp::kGet || op == NetOp::kMultiGet;
+      }
+      static std::string_view key(const Item& k) { return k; }
+
+      static void push(Worker& w, const ParsedOp& p, std::vector<Item>& items) {
+        if (p.op == NetOp::kGet) {
+          items.push_back(p.key);
+        } else {  // kMultiGet
+          auto first = w.keys_pool.begin() + p.keys_off;
+          items.insert(items.end(), first, first + p.keys_cnt);
+        }
+      }
+
+      static void run(Worker& w, std::span<Item> keys, Result* rows) {
+        EpochGuard guard(w.session.ti().slot());  // a mailbox job pins itself
+        w.server.store_.multiget_rows(keys, rows, w.session);
+      }
+
+      // kGet: status 0 + columns, or kNotFound. kMultiGet: status 0, a u16
+      // count, then per key a found byte (1 + columns, or 0).
+      static void encode(Worker& w, netframe::TxRing& tx, const ParsedOp& p,
+                         const Result* rows, uint32_t n) {
+        if (p.op == NetOp::kGet) {
+          if (rows[0] == nullptr) {
+            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
+            return;
+          }
+          tx.template put<uint8_t>(0);
+          w.encode_columns(tx, rows[0], p);
+          return;
+        }
+        tx.template put<uint8_t>(0);
+        tx.template put<uint16_t>(static_cast<uint16_t>(n));
+        for (uint32_t i = 0; i < n; ++i) {
+          tx.template put<uint8_t>(rows[i] != nullptr ? 1 : 0);
+          if (rows[i] != nullptr) {
+            w.encode_columns(tx, rows[i], p);
+          }
+        }
+      }
+    };
+
+    struct Writes {
+      static constexpr OpKind kKind = kWriteKind;
+      static constexpr Counter kBatchedCounter = Counter::kNetBatchedPuts;
+      using Item = typename StoreT::PutOp;
+      struct Result {
+        bool inserted, found, rejected;
+      };
+      // Store::multiput takes its own epoch guard around the tree batch and
+      // its grouped log append; responses read only the copied flags.
+      struct Pin {
+        explicit Pin(Worker&) {}
+      };
+
+      static bool handles(NetOp op) {
+        return op == NetOp::kPut || op == NetOp::kRemove || op == NetOp::kMultiPut;
+      }
+      static std::string_view key(const Item& op) { return op.key; }
+
+      // The update spans point into upd_pool, which is append-only until the
+      // round executes.
+      static void push(Worker& w, const ParsedOp& p, std::vector<Item>& items) {
+        if (p.op != NetOp::kMultiPut) {
+          items.push_back(
+              Item{p.key, w.updates(p.upd_off, p.upd_cnt), p.op == NetOp::kRemove});
+          return;
+        }
+        uint32_t uo = p.upd_off;
+        for (uint32_t i = 0; i < p.keys_cnt; ++i) {
+          uint32_t cnt = w.wcnt_pool[p.cols_off + i];
+          items.push_back(Item{w.keys_pool[p.keys_off + i], w.updates(uo, cnt), false});
+          uo += cnt;
+        }
+      }
+
+      static void run(Worker& w, std::span<Item> ops, Result* out) {
+        w.server.store_.multiput(ops, w.session);
+        for (size_t i = 0; i < ops.size(); ++i) {
+          out[i] = Result{ops[i].inserted, ops[i].found, ops[i].rejected};
+        }
+      }
+
+      // kPut: status 0 + inserted; kRemove: status 0 or kNotFound; kMultiPut:
+      // status 0 + count-prefixed inserted flags. An op the store refused
+      // because it had degraded to read-only answers kReadOnly and no
+      // payload — the connection lives on, and its reads keep working. A
+      // kMultiPut entry steered to a worker whose multiput ran before the
+      // trip may have applied; the wire still reports the refusal (kReadOnly
+      // is a degraded mode, not a transaction abort).
+      static void encode(Worker&, netframe::TxRing& tx, const ParsedOp& p,
+                         const Result* res, uint32_t n) {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (res[i].rejected) {
+            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
+            return;
+          }
+        }
+        if (p.op == NetOp::kRemove) {
+          tx.template put<uint8_t>(
+              res[0].found ? 0 : static_cast<uint8_t>(NetStatus::kNotFound));
+          return;
+        }
+        tx.template put<uint8_t>(0);
+        if (p.op == NetOp::kMultiPut) {
+          tx.template put<uint16_t>(static_cast<uint16_t>(n));
+        }
+        for (uint32_t i = 0; i < n; ++i) {
+          tx.template put<uint8_t>(res[i].inserted ? 1 : 0);
+        }
+      }
+    };
+
+    // A kind's formed batch for one round, plus its steering scratch.
+    template <typename Kind>
+    struct Batch {
+      std::vector<BatchRef> refs;
+      std::vector<typename Kind::Item> items;
+      std::vector<typename Kind::Result> results;
+      // Per-owner steering scratch; job pointers point into these, which
+      // stay stable until every job's done counter is bumped.
+      std::vector<std::vector<typename Kind::Item>> steer_items;
+      std::vector<std::vector<typename Kind::Result>> steer_results;
+      std::vector<std::vector<uint32_t>> steer_map;
+    };
+
+    template <typename Kind>
+    bool batchable(const ParsedOp& p) const {
+      return !p.empty_frame && !p.rejected && Kind::handles(p.op);
+    }
+
+    std::span<const ColumnUpdate> updates(uint32_t off, uint32_t cnt) const {
+      return std::span<const ColumnUpdate>(upd_pool).subspan(off, cnt);
+    }
+
+    // ---- the batch pipeline ----------------------------------------------
     // Alternating rounds: every connection contributes its maximal run of
-    // batchable reads to the shared read batch, its maximal run of batchable
-    // writes to the shared write batch, or executes its scans/pings inline —
-    // so per connection ops run strictly in order (one run per connection
-    // per round, reads executing before writes within the round), while
-    // reads from MANY connections coalesce into one multiget and writes
-    // into one multiput.
+    // reads to the shared read batch, its maximal run of writes to the
+    // shared write batch, or executes its scans/pings inline — so per
+    // connection ops run strictly in order (one run per connection per
+    // round, reads executing before writes within the round), while reads
+    // from MANY connections coalesce into one multiget and writes into one
+    // multiput.
     void execute_rounds() {
       uint64_t executed = 0;
       bool more = true;
       while (more) {
         more = false;
-        batch_keys.clear();
-        batch_refs.clear();
-        wbatch_refs.clear();
-        store_ops.clear();
+        reads.refs.clear();
+        reads.items.clear();
+        writes.refs.clear();
+        writes.items.clear();
         for (uint32_t w = 0; w < works.size(); ++w) {
           ConnWork& cw = works[w];
           if (cw.next >= cw.end || cw.c->dead) {
             continue;
           }
           more = true;
-          if (batchable(ops[cw.next])) {
-            while (cw.next < cw.end && batchable(ops[cw.next])) {
-              ParsedOp& p = ops[cw.next];
-              BatchRef ref{w, cw.next, static_cast<uint32_t>(batch_keys.size()), 0};
-              if (p.op == NetOp::kGet) {
-                ref.nkeys = 1;
-                batch_keys.push_back(p.key);
-              } else {  // kMultiGet
-                ref.nkeys = p.keys_cnt;
-                for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-                  batch_keys.push_back(keys_pool[p.keys_off + i]);
-                }
-              }
-              batch_refs.push_back(ref);
-              ++cw.next;
-            }
-          } else if (wbatchable(ops[cw.next])) {
-            if constexpr (HasMultiput<StoreT>) {
-              while (cw.next < cw.end && wbatchable(ops[cw.next])) {
-                ParsedOp& p = ops[cw.next];
-                WBatchRef ref{w, cw.next, static_cast<uint32_t>(store_ops.size()), 0};
-                if (p.op == NetOp::kPut) {
-                  ref.nops = 1;
-                  push_store_op(p.key, p.upd_off, p.upd_cnt, /*remove=*/false);
-                } else if (p.op == NetOp::kRemove) {
-                  ref.nops = 1;
-                  push_store_op(p.key, 0, 0, /*remove=*/true);
-                } else {  // kMultiPut: one store op per wire entry
-                  ref.nops = p.keys_cnt;
-                  uint32_t uo = p.upd_off;
-                  for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-                    uint32_t cnt = wcnt_pool[p.cols_off + i];
-                    push_store_op(keys_pool[p.keys_off + i], uo, cnt,
-                                  /*remove=*/false);
-                    uo += cnt;
-                  }
-                }
-                wbatch_refs.push_back(ref);
-                ++cw.next;
-              }
-            }
+          if (batchable<Reads>(ops[cw.next])) {
+            form_run(reads, w);
+          } else if (batchable<Writes>(ops[cw.next])) {
+            form_run(writes, w);
           } else {
-            while (cw.next < cw.end && !batchable(ops[cw.next]) &&
-                   !wbatchable(ops[cw.next])) {
+            while (cw.next < cw.end && !batchable<Reads>(ops[cw.next]) &&
+                   !batchable<Writes>(ops[cw.next])) {
               execute_inline(cw, ops[cw.next]);
               ++cw.next;
               ++executed;
             }
           }
         }
-        if (!batch_refs.empty()) {
-          execute_batch();
-          executed += batch_refs.size();
-        }
-        if (!wbatch_refs.empty()) {
-          execute_wbatch();
-          executed += wbatch_refs.size();
-        }
+        executed += execute_batch(reads);
+        executed += execute_batch(writes);
       }
       if (executed > 0) {
         server.ops_served_.fetch_add(executed, std::memory_order_relaxed);
       }
     }
 
-    static bool batchable(const ParsedOp& p) {
-      return !p.empty_frame && !p.rejected &&
-             (p.op == NetOp::kGet || p.op == NetOp::kMultiGet);
-    }
-
-    static bool wbatchable(const ParsedOp& p) {
-      if constexpr (!HasMultiput<StoreT>) {
-        return false;  // writes stay inline for backends without the seam
-      }
-      return !p.empty_frame && !p.rejected &&
-             (p.op == NetOp::kPut || p.op == NetOp::kRemove ||
-              p.op == NetOp::kMultiPut);
-    }
-
-    // Appends one StoreT::PutOp to the forming write batch. The updates span
-    // points into upd_pool, which is append-only until the round executes.
-    void push_store_op(std::string_view key, uint32_t upd_off, uint32_t upd_cnt,
-                       bool remove) {
-      if constexpr (HasMultiput<StoreT>) {
-        typename StoreT::PutOp op;
-        op.key = key;
-        op.updates =
-            std::span<const ColumnUpdate>(upd_pool.data() + upd_off, upd_cnt);
-        op.remove = remove;
-        store_ops.push_back(op);
+    // Appends connection `w`'s maximal run of Kind ops to the batch.
+    template <typename Kind>
+    void form_run(Batch<Kind>& b, uint32_t w) {
+      ConnWork& cw = works[w];
+      while (cw.next < cw.end && batchable<Kind>(ops[cw.next])) {
+        uint32_t off = static_cast<uint32_t>(b.items.size());
+        Kind::push(*this, ops[cw.next], b.items);
+        b.refs.push_back(
+            BatchRef{w, cw.next, off, static_cast<uint32_t>(b.items.size()) - off});
+        ++cw.next;
       }
     }
 
-    // Executes the formed batch through the engine's pipelined read path in
-    // chunks of at most kMaxMultigetBatch keys, each under one epoch guard
-    // (rows are epoch-protected pointers; encoding happens inside the guard).
-    void execute_batch() {
-      if (batch_refs.size() >= 2) {
-        if constexpr (HasMultigetRows<StoreT>) {
-          session.ti().counters().inc(Counter::kNetBatchedGets, batch_keys.size());
-        }
-        server.batched_gets_.fetch_add(batch_keys.size(), std::memory_order_relaxed);
-        server.batches_formed_.fetch_add(1, std::memory_order_relaxed);
+    // Executes a formed batch in chunks of at most kMaxMultigetBatch items
+    // and returns the number of request ops it answered.
+    template <typename Kind>
+    size_t execute_batch(Batch<Kind>& b) {
+      if (b.refs.size() >= 2) {
+        session.ti().counters().inc(Kind::kBatchedCounter, b.items.size());
+        KindStats& st = server.stats_[Kind::kKind];
+        st.batched.fetch_add(b.items.size(), std::memory_order_relaxed);
+        st.batches.fetch_add(1, std::memory_order_relaxed);
       }
+      b.results.resize(b.items.size());
       size_t ref_begin = 0;
-      while (ref_begin < batch_refs.size()) {
+      while (ref_begin < b.refs.size()) {
         size_t ref_end = ref_begin;
-        size_t nkeys = 0;
-        while (ref_end < batch_refs.size() &&
-               nkeys + batch_refs[ref_end].nkeys <= kMaxMultigetBatch) {
-          nkeys += batch_refs[ref_end].nkeys;
+        size_t n = 0;
+        while (ref_end < b.refs.size() && n + b.refs[ref_end].n <= kMaxMultigetBatch) {
+          n += b.refs[ref_end].n;
           ++ref_end;
         }
         if (ref_end == ref_begin) {
-          ++ref_end;  // single over-cap ref cannot happen (kMultiGet is capped)
+          ++ref_end;  // single over-cap ref cannot happen (multi-ops are capped)
         }
-        execute_chunk(ref_begin, ref_end);
+        execute_chunk(b, ref_begin, ref_end);
         ref_begin = ref_end;
       }
+      return b.refs.size();
     }
 
-    void execute_chunk(size_t ref_begin, size_t ref_end) {
-      size_t key_off = batch_refs[ref_begin].key_off;
-      size_t nkeys =
-          batch_refs[ref_end - 1].key_off + batch_refs[ref_end - 1].nkeys - key_off;
-      if constexpr (HasMultigetRows<StoreT>) {
-        batch_rows.resize(nkeys);
-        EpochGuard guard(session.ti().slot());
-        if (server.opt_.affinity_routing && server.workers_.size() > 1) {
-          steer_chunk(key_off, nkeys);
-        } else {
-          server.store_.multiget_rows(
-              std::span<const std::string_view>(batch_keys).subspan(key_off, nkeys),
-              batch_rows.data(), session);
-          keyed.fetch_add(nkeys, std::memory_order_relaxed);
-        }
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_batch_ref(batch_refs[r],
-                           [&](size_t key_idx, netframe::TxRing& tx, uint32_t cols_off,
-                               uint32_t cols_cnt) {
-                             encode_row(tx, batch_rows[key_idx - key_off], cols_off,
-                                        cols_cnt);
-                           });
-        }
+    // One chunk: the kind's store call — locally, or steered to each item's
+    // owner — then every chunk op's response, all under the kind's pin.
+    template <typename Kind>
+    void execute_chunk(Batch<Kind>& b, size_t ref_begin, size_t ref_end) {
+      size_t off = b.refs[ref_begin].off;
+      size_t n = b.refs[ref_end - 1].off + b.refs[ref_end - 1].n - off;
+      [[maybe_unused]] typename Kind::Pin pin(*this);
+      if (server.opt_.affinity_routing && server.workers_.size() > 1) {
+        steer_chunk(b, off, n);
       } else {
-        // §6.3-style backends without the batched seam: plain sequential
-        // gets, but the event-loop and framing behavior stays identical.
-        keyed.fetch_add(nkeys, std::memory_order_relaxed);
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_batch_ref(batch_refs[r], [&](size_t key_idx, netframe::TxRing& tx,
-                                              uint32_t cols_off, uint32_t cols_cnt) {
-            col_scratch.assign(cols_pool.begin() + cols_off,
-                               cols_pool.begin() + cols_off + cols_cnt);
-            bool found =
-                server.store_.get(batch_keys[key_idx], col_scratch, &cols_out, session);
-            if (!found) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
-              return;
-            }
-            tx.template put<uint8_t>(0);
-            tx.template put<uint16_t>(static_cast<uint16_t>(cols_out.size()));
-            for (const auto& v : cols_out) {
-              tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-              tx.append(v);
-            }
-          });
+        Kind::run(*this, std::span(b.items).subspan(off, n), b.results.data() + off);
+        keyed.fetch_add(n, std::memory_order_relaxed);
+      }
+      for (size_t r = ref_begin; r < ref_end; ++r) {
+        const BatchRef& ref = b.refs[r];
+        ConnWork& cw = works[ref.work];
+        if (cw.c->dead) {
+          continue;
         }
+        const ParsedOp& p = ops[ref.opi];
+        open_frame(cw);
+        Kind::encode(*this, cw.c->tx, p, b.results.data() + ref.off, ref.n);
+        maybe_close_frame(cw, p);
       }
     }
 
-    // ---- per-key affinity steering (kMultiGet and cross-conn batches) ---
-    // Partition the chunk's keys by owning worker: the local slice runs on
-    // this worker's session, remote slices ship as RemoteGetJobs through the
-    // owners' mailboxes (existing eventfd wake path). The caller's epoch
-    // guard stays pinned across ship -> wait -> encode, which is what makes
-    // the owner-written Row pointers safe to read here: any row an owner
-    // could still reach was retired no earlier than one epoch before our
-    // pin, and reclaim frees only two epochs past the retire — impossible
-    // while we stay pinned.
-    void steer_chunk(size_t key_off, size_t nkeys) {
+    // ---- per-item affinity steering --------------------------------------
+    // Partition the chunk's items by owning worker (route_worker — so a
+    // key's reads and writes land on the core that owns its cache traffic,
+    // and one key's writes always apply on one owner, in order). The local
+    // slice runs on this worker's session; remote slices ship as RemoteJobs
+    // through the owners' mailboxes (existing eventfd wake path), each
+    // applied through the owner's own session (for writes: its own log
+    // shard). Results come back through the index map.
+    template <typename Kind>
+    void steer_chunk(Batch<Kind>& b, size_t off, size_t n) {
       unsigned nw = static_cast<unsigned>(server.workers_.size());
-      if (steer_keys.size() < nw) {
-        steer_keys.resize(nw);
-        steer_rows.resize(nw);
-        steer_map.resize(nw);
+      if (b.steer_items.size() < nw) {
+        b.steer_items.resize(nw);
+        b.steer_results.resize(nw);
+        b.steer_map.resize(nw);
       }
       for (unsigned o = 0; o < nw; ++o) {
-        steer_keys[o].clear();
-        steer_map[o].clear();
+        b.steer_items[o].clear();
+        b.steer_map[o].clear();
       }
-      for (size_t i = 0; i < nkeys; ++i) {
-        std::string_view k = batch_keys[key_off + i];
-        unsigned o = route_worker(k, nw);
-        steer_keys[o].push_back(k);
-        steer_map[o].push_back(static_cast<uint32_t>(i));
+      for (size_t i = 0; i < n; ++i) {
+        const typename Kind::Item& item = b.items[off + i];
+        unsigned o = route_worker(Kind::key(item), nw);
+        b.steer_items[o].push_back(item);
+        b.steer_map[o].push_back(static_cast<uint32_t>(i));
       }
       std::atomic<uint32_t> done{0};
       uint32_t njobs = 0;
       for (unsigned o = 0; o < nw; ++o) {
-        if (o == id || steer_keys[o].empty()) {
+        b.steer_results[o].resize(b.steer_items[o].size());
+        if (o == id || b.steer_items[o].empty()) {
           continue;
         }
-        steer_rows[o].assign(steer_keys[o].size(), nullptr);
         Worker& w = *server.workers_[o];
         {
           std::lock_guard<std::mutex> lock(w.jobs_mu);
-          w.jobs.push_back(RemoteGetJob{steer_keys[o].data(), steer_keys[o].size(),
-                                        steer_rows[o].data(), &done});
+          w.jobs.push_back(RemoteJob{&run_job<Kind>, b.steer_items[o].data(),
+                                     b.steer_results[o].data(), b.steer_items[o].size(),
+                                     &done});
         }
         w.wake();
         ++njobs;
-        server.steered_gets_.fetch_add(steer_keys[o].size(),
-                                       std::memory_order_relaxed);
+        server.stats_[Kind::kKind].steered.fetch_add(b.steer_items[o].size(),
+                                                     std::memory_order_relaxed);
       }
-      if (!steer_keys[id].empty()) {
-        steer_rows[id].assign(steer_keys[id].size(), nullptr);
-        server.store_.multiget_rows(
-            std::span<const std::string_view>(steer_keys[id]),
-            steer_rows[id].data(), session);
-        keyed.fetch_add(steer_keys[id].size(), std::memory_order_relaxed);
+      if (!b.steer_items[id].empty()) {
+        Kind::run(*this, std::span(b.steer_items[id]), b.steer_results[id].data());
+        keyed.fetch_add(b.steer_items[id].size(), std::memory_order_relaxed);
       }
       // Wait for the owners, draining OUR mailbox meanwhile (two workers
       // steering into each other would otherwise deadlock); once stopping_
@@ -1250,457 +1296,104 @@ class BasicServer {
         }
       }
       for (unsigned o = 0; o < nw; ++o) {
-        for (size_t j = 0; j < steer_map[o].size(); ++j) {
-          batch_rows[steer_map[o][j]] = steer_rows[o][j];
+        for (size_t j = 0; j < b.steer_map[o].size(); ++j) {
+          b.results[off + b.steer_map[o][j]] = b.steer_results[o][j];
         }
       }
     }
 
-    // ---- the write batch -------------------------------------------------
-    // Executes the formed write batch through the store's pipelined write
-    // path in chunks of at most kMaxMultigetBatch ops. Store::multiput takes
-    // its own epoch guard and performs its own grouped log append; response
-    // flags are read back from the PutOps afterwards.
-    void execute_wbatch() {
-      if constexpr (HasMultiput<StoreT>) {
-        if (wbatch_refs.size() >= 2) {
-          session.ti().counters().inc(Counter::kNetBatchedPuts, store_ops.size());
-          server.batched_puts_.fetch_add(store_ops.size(), std::memory_order_relaxed);
-          server.wbatches_formed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        size_t ref_begin = 0;
-        while (ref_begin < wbatch_refs.size()) {
-          size_t ref_end = ref_begin;
-          size_t nops = 0;
-          while (ref_end < wbatch_refs.size() &&
-                 nops + wbatch_refs[ref_end].nops <= kMaxMultigetBatch) {
-            nops += wbatch_refs[ref_end].nops;
-            ++ref_end;
-          }
-          if (ref_end == ref_begin) {
-            ++ref_end;  // single over-cap ref cannot happen (kMultiPut is capped)
-          }
-          execute_wchunk(ref_begin, ref_end);
-          ref_begin = ref_end;
-        }
-      }
+    template <typename Kind>
+    static void run_job(Worker& w, void* items, void* results, size_t n) {
+      Kind::run(w, std::span(static_cast<typename Kind::Item*>(items), n),
+                static_cast<typename Kind::Result*>(results));
     }
 
-    void execute_wchunk(size_t ref_begin, size_t ref_end) {
-      if constexpr (HasMultiput<StoreT>) {
-        size_t op_off = wbatch_refs[ref_begin].op_off;
-        size_t nops = wbatch_refs[ref_end - 1].op_off +
-                      wbatch_refs[ref_end - 1].nops - op_off;
-        if (server.opt_.affinity_routing && server.workers_.size() > 1) {
-          steer_wchunk(op_off, nops);
-        } else {
-          server.store_.multiput(
-              std::span<typename StoreT::PutOp>(store_ops).subspan(op_off, nops),
-              session);
-          keyed.fetch_add(nops, std::memory_order_relaxed);
-        }
-        for (size_t r = ref_begin; r < ref_end; ++r) {
-          encode_wbatch_ref(wbatch_refs[r]);
-        }
-      }
-    }
-
-    // Write-side affinity steering: partition the chunk's ops by owning
-    // worker (same route_worker hash as reads, so a key's writes land on the
-    // core that owns its cache traffic). Remote slices ship as
-    // RemoteWriteJobs; each owner applies its slice through its own session
-    // — separate Store::multiput calls, separate log shards, per-key version
-    // order still correct because one key always hashes to one owner. The
-    // origin spins draining its own mailbox (two workers steering into each
-    // other would otherwise deadlock) and steals unstarted jobs back once
-    // the server is stopping.
-    void steer_wchunk(size_t op_off, size_t nops) {
-      if constexpr (HasMultiput<StoreT>) {
-        unsigned nw = static_cast<unsigned>(server.workers_.size());
-        if (steer_wops.size() < nw) {
-          steer_wops.resize(nw);
-          steer_wmap.resize(nw);
-        }
-        for (unsigned o = 0; o < nw; ++o) {
-          steer_wops[o].clear();
-          steer_wmap[o].clear();
-        }
-        for (size_t i = 0; i < nops; ++i) {
-          const typename StoreT::PutOp& op = store_ops[op_off + i];
-          unsigned o = route_worker(op.key, nw);
-          steer_wops[o].push_back(op);
-          steer_wmap[o].push_back(static_cast<uint32_t>(i));
-        }
-        std::atomic<uint32_t> done{0};
-        uint32_t njobs = 0;
-        for (unsigned o = 0; o < nw; ++o) {
-          if (o == id || steer_wops[o].empty()) {
-            continue;
-          }
-          Worker& w = *server.workers_[o];
-          {
-            std::lock_guard<std::mutex> lock(w.jobs_mu);
-            w.wjobs.push_back(RemoteWriteJob{steer_wops[o].data(),
-                                             steer_wops[o].size(), &done});
-          }
-          w.wake();
-          ++njobs;
-          server.steered_puts_.fetch_add(steer_wops[o].size(),
-                                         std::memory_order_relaxed);
-        }
-        if (!steer_wops[id].empty()) {
-          server.store_.multiput(std::span<typename StoreT::PutOp>(steer_wops[id]),
-                                 session);
-          keyed.fetch_add(steer_wops[id].size(), std::memory_order_relaxed);
-        }
-        while (done.load(std::memory_order_acquire) < njobs) {
-          if (drain_jobs() == 0) {
-            if (server.stopping_.load(std::memory_order_acquire)) {
-              steal_back_writes(&done);
-            }
-            std::this_thread::yield();
-          }
-        }
-        for (unsigned o = 0; o < nw; ++o) {
-          for (size_t j = 0; j < steer_wmap[o].size(); ++j) {
-            typename StoreT::PutOp& dst = store_ops[op_off + steer_wmap[o][j]];
-            dst.inserted = steer_wops[o][j].inserted;
-            dst.found = steer_wops[o][j].found;
-            if constexpr (requires { dst.rejected; }) {
-              dst.rejected = steer_wops[o][j].rejected;
-            }
-          }
-        }
-      }
-    }
-
-    // A multiput backend whose PutOp carries the read-only out-flag (Store)
-    // reports per-op refusal; others can never refuse.
-    template <typename Op>
-    static bool op_rejected(const Op& op) {
-      if constexpr (requires { op.rejected; }) {
-        return op.rejected;
-      } else {
-        return false;
-      }
-    }
-
-    // Encodes one batched write op's response, byte-identical to the inline
-    // encodings (kPut: status + inserted; kRemove: status; kMultiPut: status
-    // + count-prefixed inserted flags). Ops the store refused because it had
-    // degraded to read-only answer with kReadOnly and no payload — the
-    // connection lives on, and its reads keep working.
-    void encode_wbatch_ref(const WBatchRef& ref) {
-      if constexpr (HasMultiput<StoreT>) {
-        ConnWork& cw = works[ref.work];
-        if (cw.c->dead) {
-          return;
-        }
-        const ParsedOp& p = ops[ref.opi];
-        netframe::TxRing& tx = cw.c->tx;
-        open_frame(cw);
-        if (p.op == NetOp::kPut) {
-          if (op_rejected(store_ops[ref.op_off])) {
-            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-          } else {
-            tx.template put<uint8_t>(0);
-            tx.template put<uint8_t>(store_ops[ref.op_off].inserted ? 1 : 0);
-          }
-        } else if (p.op == NetOp::kRemove) {
-          tx.template put<uint8_t>(
-              op_rejected(store_ops[ref.op_off])
-                  ? static_cast<uint8_t>(NetStatus::kReadOnly)
-                  : (store_ops[ref.op_off].found
-                         ? 0
-                         : static_cast<uint8_t>(NetStatus::kNotFound)));
-        } else {  // kMultiPut
-          bool any_rejected = false;
-          for (uint32_t i = 0; i < ref.nops; ++i) {
-            if (op_rejected(store_ops[ref.op_off + i])) {
-              any_rejected = true;
-              break;
-            }
-          }
-          if (any_rejected) {
-            // The batch hit the read-only trip. Entries steered to a worker
-            // whose multiput ran before the trip may have applied; the wire
-            // reports the refusal (kReadOnly is a degraded mode, not a
-            // transaction abort).
-            tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-          } else {
-            tx.template put<uint8_t>(0);
-            tx.template put<uint16_t>(static_cast<uint16_t>(ref.nops));
-            for (uint32_t i = 0; i < ref.nops; ++i) {
-              tx.template put<uint8_t>(store_ops[ref.op_off + i].inserted ? 1 : 0);
-            }
-          }
-        }
-        maybe_close_frame(cw, p);
-      }
+    void execute_job(const RemoteJob& j) {
+      j.run(*this, j.items, j.results, j.n);
+      keyed.fetch_add(j.n, std::memory_order_relaxed);
+      j.done->fetch_add(1, std::memory_order_release);
     }
 
     // Runs every job in this worker's mailbox on this worker's own session.
-    // Called from the wake path, from the steer wait loops, and once after
+    // Called from the wake path, from the steering wait loop, and once after
     // the event loop exits.
     size_t drain_jobs() {
-      size_t n = 0;
-      if constexpr (HasMultigetRows<StoreT>) {
-        {
-          std::lock_guard<std::mutex> lock(jobs_mu);
-          jobs_scratch.swap(jobs);
-        }
-        for (const RemoteGetJob& j : jobs_scratch) {
-          EpochGuard guard(session.ti().slot());
-          server.store_.multiget_rows(
-              std::span<const std::string_view>(j.keys, j.nkeys), j.rows, session);
-          keyed.fetch_add(j.nkeys, std::memory_order_relaxed);
-          j.done->fetch_add(1, std::memory_order_release);
-        }
-        n += jobs_scratch.size();
-        jobs_scratch.clear();
+      {
+        std::lock_guard<std::mutex> lock(jobs_mu);
+        jobs_scratch.swap(jobs);
       }
-      if constexpr (HasMultiput<StoreT>) {
-        {
-          std::lock_guard<std::mutex> lock(jobs_mu);
-          wjobs_scratch.swap(wjobs);
-        }
-        for (const RemoteWriteJob& j : wjobs_scratch) {
-          server.store_.multiput(
-              std::span<typename StoreT::PutOp>(
-                  static_cast<typename StoreT::PutOp*>(j.ops), j.nops),
-              session);
-          keyed.fetch_add(j.nops, std::memory_order_relaxed);
-          j.done->fetch_add(1, std::memory_order_release);
-        }
-        n += wjobs_scratch.size();
-        wjobs_scratch.clear();
+      for (const RemoteJob& j : jobs_scratch) {
+        execute_job(j);
       }
+      size_t n = jobs_scratch.size();
+      jobs_scratch.clear();
       return n;
     }
 
     // Shutdown path: reclaim OUR shipped jobs (matched by done pointer) from
     // mailboxes nobody may drain again, and run them locally.
     void steal_back(std::atomic<uint32_t>* done) {
-      if constexpr (HasMultigetRows<StoreT>) {
-        for (auto& wp : server.workers_) {
-          Worker& w = *wp;
-          if (&w == this) {
+      for (auto& wp : server.workers_) {
+        Worker& w = *wp;
+        if (&w == this) {
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(w.jobs_mu);
+        for (size_t i = 0; i < w.jobs.size();) {
+          if (w.jobs[i].done != done) {
+            ++i;
             continue;
           }
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          for (size_t i = 0; i < w.jobs.size();) {
-            if (w.jobs[i].done != done) {
-              ++i;
-              continue;
-            }
-            RemoteGetJob j = w.jobs[i];
-            w.jobs[i] = w.jobs.back();
-            w.jobs.pop_back();
-            EpochGuard guard(session.ti().slot());
-            server.store_.multiget_rows(
-                std::span<const std::string_view>(j.keys, j.nkeys), j.rows, session);
-            keyed.fetch_add(j.nkeys, std::memory_order_relaxed);
-            j.done->fetch_add(1, std::memory_order_release);
-          }
+          RemoteJob j = w.jobs[i];
+          w.jobs[i] = w.jobs.back();
+          w.jobs.pop_back();
+          execute_job(j);
         }
       }
     }
 
-    // Shutdown path, write side: reclaim OUR shipped write jobs from
-    // mailboxes nobody may drain again, and run them locally.
-    void steal_back_writes(std::atomic<uint32_t>* done) {
-      if constexpr (HasMultiput<StoreT>) {
-        for (auto& wp : server.workers_) {
-          Worker& w = *wp;
-          if (&w == this) {
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          for (size_t i = 0; i < w.wjobs.size();) {
-            if (w.wjobs[i].done != done) {
-              ++i;
-              continue;
-            }
-            RemoteWriteJob j = w.wjobs[i];
-            w.wjobs[i] = w.wjobs.back();
-            w.wjobs.pop_back();
-            server.store_.multiput(
-                std::span<typename StoreT::PutOp>(
-                    static_cast<typename StoreT::PutOp*>(j.ops), j.nops),
-                session);
-            keyed.fetch_add(j.nops, std::memory_order_relaxed);
-            j.done->fetch_add(1, std::memory_order_release);
-          }
-        }
+    // A found row's columns: a u16 count, then u32-length-prefixed values —
+    // the op's selected columns, or every column when it named none.
+    void encode_columns(netframe::TxRing& tx, const Row* row, const ParsedOp& p) {
+      uint32_t n = p.cols_cnt == 0 ? row->ncols() : p.cols_cnt;
+      tx.template put<uint16_t>(static_cast<uint16_t>(n));
+      for (uint32_t i = 0; i < n; ++i) {
+        std::string_view v = row->col(p.cols_cnt == 0 ? i : cols_pool[p.cols_off + i]);
+        tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
+        tx.append(v);
       }
     }
 
-    // Encodes one batched read op's response (kGet: one result; kMultiGet:
-    // count-prefixed results) via `result(key_idx, tx, cols_off, cols_cnt)`.
-    template <typename ResultFn>
-    void encode_batch_ref(const BatchRef& ref, ResultFn&& result) {
-      ConnWork& cw = works[ref.work];
-      if (cw.c->dead) {
-        return;
-      }
-      const ParsedOp& p = ops[ref.opi];
-      netframe::TxRing& tx = cw.c->tx;
-      open_frame(cw);
-      if (p.op == NetOp::kGet) {
-        result(ref.key_off, tx, p.cols_off, p.cols_cnt);
-      } else {
-        tx.template put<uint8_t>(0);
-        tx.template put<uint16_t>(static_cast<uint16_t>(ref.nkeys));
-        for (uint32_t i = 0; i < ref.nkeys; ++i) {
-          // kMultiGet wraps each result in a found byte; reuse the single-get
-          // encoding (status 0 == found, kNotFound == absent) by translating.
-          uint64_t mark = tx.end();
-          result(ref.key_off + i, tx, p.cols_off, p.cols_cnt);
-          translate_multiget_status(tx, mark);
-        }
-      }
-      maybe_close_frame(cw, p);
-    }
-
-    // The single-get result encoding starts with a status byte (0 found /
-    // kNotFound absent); kMultiGet's per-key encoding starts with a found
-    // byte (1 found / 0 absent). A not-found single-get result is exactly one
-    // byte, so flipping the leading byte in place is a full translation.
-    static void translate_multiget_status(netframe::TxRing& tx, uint64_t status_pos) {
-      tx.patch_u8(status_pos, tx.peek_u8(status_pos) == 0 ? 1 : 0);
-    }
-
-    void encode_row(netframe::TxRing& tx, const Row* row, uint32_t cols_off,
-                    uint32_t cols_cnt) {
-      if (row == nullptr) {
-        tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kNotFound));
-        return;
-      }
-      tx.template put<uint8_t>(0);
-      if (cols_cnt == 0) {
-        tx.template put<uint16_t>(static_cast<uint16_t>(row->ncols()));
-        for (unsigned c = 0; c < row->ncols(); ++c) {
-          std::string_view v = row->col(c);
-          tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-          tx.append(v);
-        }
-      } else {
-        tx.template put<uint16_t>(static_cast<uint16_t>(cols_cnt));
-        for (uint32_t i = 0; i < cols_cnt; ++i) {
-          std::string_view v = row->col(cols_pool[cols_off + i]);
-          tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-          tx.append(v);
-        }
-      }
-    }
-
-    // ---- inline ops (writes, scans, pings, rejections) ------------------
+    // ---- inline ops (scans, pings, empty frames, rejections) -------------
     void execute_inline(ConnWork& cw, const ParsedOp& p) {
       netframe::TxRing& tx = cw.c->tx;
       open_frame(cw);
       if (p.empty_frame) {
-        maybe_close_frame(cw, p);
-        return;
-      }
-      if (p.rejected) {
+        // Nothing to encode: the response frame is empty too.
+      } else if (p.rejected) {
         // Parsed (the rest of the frame stays decodable) but refused.
         tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kRejected));
-        maybe_close_frame(cw, p);
-        return;
-      }
-      if (p.op != NetOp::kPing) {
+      } else if (p.op == NetOp::kScan) {
         keyed.fetch_add(1, std::memory_order_relaxed);
-      }
-      switch (p.op) {
-        case NetOp::kPut: {
-          upd_scratch.assign(upd_pool.begin() + p.upd_off,
-                             upd_pool.begin() + p.upd_off + p.upd_cnt);
-          if constexpr (HasCheckedWrites<StoreT>) {
-            auto pr = server.store_.put_checked(p.key, upd_scratch, session);
-            if (pr == StoreT::PutResult::kReadOnly) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-            } else {
-              tx.template put<uint8_t>(0);
-              tx.template put<uint8_t>(pr == StoreT::PutResult::kInserted ? 1 : 0);
-            }
-          } else {
-            bool inserted = server.store_.put(p.key, upd_scratch, session);
-            tx.template put<uint8_t>(0);
-            tx.template put<uint8_t>(inserted ? 1 : 0);
-          }
-          break;
-        }
-        case NetOp::kRemove: {
-          if constexpr (HasCheckedWrites<StoreT>) {
-            auto rr = server.store_.remove_checked(p.key, session);
-            tx.template put<uint8_t>(
-                rr == StoreT::RemoveResult::kReadOnly
-                    ? static_cast<uint8_t>(NetStatus::kReadOnly)
-                    : (rr == StoreT::RemoveResult::kRemoved
-                           ? 0
-                           : static_cast<uint8_t>(NetStatus::kNotFound)));
-          } else {
-            bool removed = server.store_.remove(p.key, session);
-            tx.template put<uint8_t>(
-                removed ? 0 : static_cast<uint8_t>(NetStatus::kNotFound));
-          }
-          break;
-        }
-        case NetOp::kScan: {
-          tx.template put<uint8_t>(0);
-          uint64_t count_pos = tx.reserve_u32();
-          uint32_t count = 0;
-          // Streams whole border-node snapshots from the store's ScanCursor;
-          // each emitted pair is encoded straight into the tx ring.
-          server.store_.getrange(
-              p.key, p.scan_limit, p.scan_col,
-              [&](std::string_view k, std::string_view v, const Row*) {
-                tx.template put<uint32_t>(static_cast<uint32_t>(k.size()));
-                tx.append(k);
-                tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
-                tx.append(v);
-                ++count;
-                return true;
-              },
-              session);
-          tx.patch_u32(count_pos, count);
-          break;
-        }
-        case NetOp::kPing:
-          tx.template put<uint8_t>(0);
-          break;
-        case NetOp::kMultiPut: {
-          // Only reached for backends without the batched-write seam
-          // (wbatchable() routes it to the write batch otherwise): plain
-          // sequential puts, wire behavior identical.
-          if constexpr (HasCheckedWrites<StoreT>) {
-            if (server.store_.read_only()) {
-              tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kReadOnly));
-              break;
-            }
-          }
-          tx.template put<uint8_t>(0);
-          tx.template put<uint16_t>(static_cast<uint16_t>(p.keys_cnt));
-          uint32_t uo = p.upd_off;
-          for (uint32_t i = 0; i < p.keys_cnt; ++i) {
-            uint32_t cnt = wcnt_pool[p.cols_off + i];
-            upd_scratch.assign(upd_pool.begin() + uo, upd_pool.begin() + uo + cnt);
-            uo += cnt;
-            bool inserted = false;
-            if constexpr (HasCheckedWrites<StoreT>) {
-              inserted = server.store_.put_checked(keys_pool[p.keys_off + i],
-                                                   upd_scratch, session) ==
-                         StoreT::PutResult::kInserted;
-            } else {
-              inserted =
-                  server.store_.put(keys_pool[p.keys_off + i], upd_scratch, session);
-            }
-            tx.template put<uint8_t>(inserted ? 1 : 0);
-          }
-          break;
-        }
-        default:
-          break;  // unreachable: gets/multigets go through the batch
+        tx.template put<uint8_t>(0);
+        uint64_t count_pos = tx.reserve_u32();
+        uint32_t count = 0;
+        // Streams whole border-node snapshots from the store's ScanCursor;
+        // each emitted pair is encoded straight into the tx ring.
+        server.store_.getrange(
+            p.key, p.scan_limit, p.scan_col,
+            [&](std::string_view k, std::string_view v, const Row*) {
+              tx.template put<uint32_t>(static_cast<uint32_t>(k.size()));
+              tx.append(k);
+              tx.template put<uint32_t>(static_cast<uint32_t>(v.size()));
+              tx.append(v);
+              ++count;
+              return true;
+            },
+            session);
+        tx.patch_u32(count_pos, count);
+      } else {  // kPing
+        tx.template put<uint8_t>(0);
       }
       maybe_close_frame(cw, p);
     }
@@ -1747,21 +1440,11 @@ class BasicServer {
     std::mutex mu;
     std::vector<PendingConn> pending;  // handed off by other workers
     std::vector<std::unique_ptr<Conn>> conns;
-    // Steered-multiget/multiput mailboxes: other workers push under jobs_mu
-    // + wake(); only this worker's thread (or a stopping_ steal-back)
-    // removes entries.
+    // Steered-batch mailbox: other workers push under jobs_mu + wake(); only
+    // this worker's thread (or a stopping_ steal-back) removes entries.
     std::mutex jobs_mu;
-    std::vector<RemoteGetJob> jobs;
-    std::vector<RemoteGetJob> jobs_scratch;
-    std::vector<RemoteWriteJob> wjobs;
-    std::vector<RemoteWriteJob> wjobs_scratch;
-    // Per-owner steering scratch; job pointers point into these, which stay
-    // stable until every job's done counter is bumped.
-    std::vector<std::vector<std::string_view>> steer_keys;
-    std::vector<std::vector<const Row*>> steer_rows;
-    std::vector<std::vector<uint32_t>> steer_map;
-    std::vector<typename netdetail::PutOpPool<StoreT>::type> steer_wops;
-    std::vector<std::vector<uint32_t>> steer_wmap;
+    std::vector<RemoteJob> jobs;
+    std::vector<RemoteJob> jobs_scratch;
     // Reusable per-wakeup scratch: capacity persists, so the steady state
     // parses and batches without allocating.
     std::vector<PendingConn> adopted;
@@ -1770,16 +1453,10 @@ class BasicServer {
     std::vector<unsigned> cols_pool;
     std::vector<ColumnUpdate> upd_pool;
     std::vector<std::string_view> keys_pool;
-    std::vector<ConnWork> works;
-    std::vector<std::string_view> batch_keys;
-    std::vector<BatchRef> batch_refs;
-    std::vector<const Row*> batch_rows;
     std::vector<uint32_t> wcnt_pool;  // kMultiPut per-key column counts
-    std::vector<WBatchRef> wbatch_refs;
-    typename netdetail::PutOpPool<StoreT>::type store_ops;
-    std::vector<ColumnUpdate> upd_scratch;
-    std::vector<unsigned> col_scratch;
-    std::vector<std::string> cols_out;
+    std::vector<ConnWork> works;
+    Batch<Reads> reads;
+    Batch<Writes> writes;
   };
 
   StoreT& store_;
@@ -1789,20 +1466,9 @@ class BasicServer {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> ops_served_{0};
-  std::atomic<uint64_t> batched_gets_{0};
-  std::atomic<uint64_t> batches_formed_{0};
-  std::atomic<uint64_t> steered_gets_{0};
-  std::atomic<uint64_t> batched_puts_{0};
-  std::atomic<uint64_t> wbatches_formed_{0};
-  std::atomic<uint64_t> steered_puts_{0};
+  KindStats stats_[kNumOpKinds];
   std::atomic<uint64_t> idle_reaped_{0};
 };
-
-// If Store::multiget_rows/multiput ever drift away from their concepts, the
-// server would silently degrade network gets/puts to sequential store calls —
-// make that a compile error for the canonical backend instead.
-static_assert(HasMultigetRows<Store>);
-static_assert(HasMultiput<Store>);
 
 using Server = BasicServer<Store>;
 

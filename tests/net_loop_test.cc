@@ -52,6 +52,23 @@ class NetLoopTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+// One key per worker (index = its owner under route_worker), found by
+// hashing candidates prefix0, prefix1, ...
+std::vector<std::string> KeyPerWorker(const std::string& prefix, unsigned workers) {
+  std::vector<std::string> keys(workers);
+  unsigned found = 0;
+  for (int i = 0; found < workers && i < 10000; ++i) {
+    std::string k = prefix + std::to_string(i);
+    std::string& slot = keys[Server::route_worker(k, workers)];
+    if (slot.empty()) {
+      slot = k;
+      ++found;
+    }
+  }
+  EXPECT_EQ(found, workers);
+  return keys;
+}
+
 // ---------------------------------------------------------------------------
 // Many concurrent pipelining clients, each diffed against its own std::map
 // shadow. Every expected outcome is computed at send() time (before the
@@ -585,6 +602,55 @@ TEST(NetLoopShutdown, StartStopCyclesWithLiveClients) {
   }
 }
 
+// The same cycles with affinity routing on. Every round pipelines a
+// multiput and a multiget spanning both workers' keys and stops the server
+// without reading their responses, so stop() can meet steered jobs in
+// flight (the steal-back path). It must not hang, and every write acked in
+// one cycle must read back in the next.
+TEST(NetLoopShutdown, AffinityStartStopCyclesWithLiveClients) {
+  constexpr unsigned kWorkers = 2;
+  Store store;
+  std::vector<std::string> acked;  // keys acked last cycle, value "v<round-1>"
+  for (int round = 0; round < 20; ++round) {
+    Server server(store, Server::Options{0, kWorkers, 1 << 20, /*affinity=*/true});
+    server.start();
+    Client c(server.port());
+    if (!acked.empty()) {
+      c.multiget(std::vector<std::string_view>(acked.begin(), acked.end()));
+      auto res = c.flush();
+      ASSERT_EQ(res.size(), 1u);
+      ASSERT_EQ(res[0].status, NetStatus::kOk);
+      ASSERT_EQ(res[0].batch.size(), acked.size());
+      for (size_t i = 0; i < acked.size(); ++i) {
+        ASSERT_TRUE(res[0].batch[i].found) << round << " " << acked[i];
+        EXPECT_EQ(res[0].batch[i].columns[0], "v" + std::to_string(round - 1))
+            << acked[i];
+      }
+    }
+    std::string val = "v" + std::to_string(round);
+    acked = KeyPerWorker("ack" + std::to_string(round) + "-", kWorkers);
+    std::vector<netwire::MultiputEntry> entries;
+    for (const std::string& k : acked) {
+      entries.push_back({k, {{0, val}}});
+    }
+    c.multiput(entries);
+    auto res = c.flush();
+    ASSERT_EQ(res.size(), 1u);
+    ASSERT_EQ(res[0].status, NetStatus::kOk);
+
+    std::vector<std::string> unacked =
+        KeyPerWorker("un" + std::to_string(round) + "-", kWorkers);
+    entries.clear();
+    for (const std::string& k : unacked) {
+      entries.push_back({k, {{0, val}}});
+    }
+    c.multiput(entries);
+    c.multiget(std::vector<std::string_view>(unacked.begin(), unacked.end()));
+    c.send();
+    server.stop();  // with both cross-owner ops in flight
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Slow-loris guard: a peer that connects and trickles HALF a frame must be
 // reaped once Options::idle_timeout_ms elapses without a complete frame —
@@ -650,8 +716,10 @@ TEST(NetLoopIdle, SlowLorisConnectionsAreReaped) {
 // Degraded serving over the wire: a sticky log I/O error flips the store
 // read-only; from then on puts/removes answer NetStatus::kReadOnly (no
 // payload) on the SAME connection, gets keep serving the in-memory data, and
-// nothing is closed or thrown.
-TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) {
+// nothing is closed or thrown. With `affinity` on, writes owned by the worker
+// the connection does not sit on are steered there, and their refusals come
+// back only through the steering copy-back.
+void ReadOnlyServing(unsigned workers, bool affinity) {
   std::string dir = testing::TempDir() + "/net_ro_logs";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -661,13 +729,26 @@ TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) {
   sopt.maintenance_thread = false;
   Store store(sopt);
   {
-    Server server(store, Server::Options{0, 1});
+    Server server(store, Server::Options{0, workers, 1 << 20, affinity});
     server.start();
     Client c(server.port());
     c.put("pre", {{0, "durable"}});
     auto r0 = c.flush();
     ASSERT_EQ(r0.size(), 1u);
     ASSERT_EQ(r0[0].status, NetStatus::kOk);
+    // The connection now sits on pre's owner. With affinity on, write one
+    // key per worker first, so every worker's log shard exists before the
+    // fault is armed.
+    std::vector<std::string> owned;
+    if (affinity) {
+      owned = KeyPerWorker("ro", workers);
+      for (const std::string& k : owned) {
+        c.put(k, {{0, "w"}});
+      }
+      for (const auto& r : c.flush()) {
+        ASSERT_EQ(r.status, NetStatus::kOk);
+      }
+    }
     store.sync_logs();
     ASSERT_FALSE(store.read_only());
 
@@ -698,15 +779,41 @@ TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) {
     EXPECT_EQ(res[2].columns[0], "durable");
     EXPECT_EQ(res[3].status, NetStatus::kOk);
 
-    // Multiput over the wire also reports the degraded mode in-band.
-    c.multiput({{"m1", {{0, "a"}}}, {"m2", {{0, "b"}}}});
+    // Multiput over the wire also reports the degraded mode in-band (with
+    // affinity on, its entries route to every worker).
+    std::vector<netwire::MultiputEntry> entries = {{"m1", {{0, "a"}}},
+                                                   {"m2", {{0, "b"}}}};
+    for (const std::string& k : owned) {
+      entries.push_back({k, {{0, "c"}}});
+    }
+    c.multiput(entries);
     auto rm = c.flush();
     ASSERT_EQ(rm.size(), 1u);
     EXPECT_EQ(rm[0].status, NetStatus::kReadOnly);
+
+    if (affinity) {
+      // Both ops are owned wholly by the other worker: only the copied-back
+      // rejected flags can turn them into kReadOnly.
+      const std::string& remote =
+          owned[Server::route_worker("pre", workers) == 0 ? 1 : 0];
+      c.put(remote, {{0, "z"}});
+      c.multiput({{remote, {{0, "z"}}}});
+      auto rr = c.flush();
+      ASSERT_EQ(rr.size(), 2u);
+      EXPECT_EQ(rr[0].status, NetStatus::kReadOnly);
+      EXPECT_EQ(rr[1].status, NetStatus::kReadOnly);
+      EXPECT_GT(server.steered_puts(), 0u);
+    }
     EXPECT_EQ(store.log_error(), EIO);
     EXPECT_STREQ(store.log_error_detail().syscall, "pwritev");
     server.stop();
   }
+}
+
+TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) { ReadOnlyServing(1, false); }
+
+TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServingAffinity) {
+  ReadOnlyServing(2, /*affinity=*/true);
 }
 
 }  // namespace
