@@ -9,7 +9,7 @@
 // local insert retries). Interleaved multiget batches report the same rates
 // for the §4.8 pipelined path (Counter::kMultigetRetry / kMultigetBatches),
 // and interleaved range scans report the ScanCursor's chain-walk health under
-// the same churn: node snapshots vs snapshot retries vs reach_border
+// the same churn: node snapshots vs snapshot retries vs border
 // re-descents (kScanNodes / kScanRetries / kScanRedescents). Chain walking
 // is working iff re-descents stay a small fraction of node visits.
 //
@@ -75,7 +75,7 @@ int main() {
         // split churn as the point ops.
         if ((i & 63) == 0) {
           uint64_t sink = 0;
-          scan_pairs += tree.scan_batch(
+          scan_pairs += tree.scan(
               decimal_key(rng.next()), 100,
               [&](std::string_view k, uint64_t lv) {
                 sink += lv + k.size();

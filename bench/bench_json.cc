@@ -27,7 +27,6 @@
 #include "bench/net_driver.h"
 #include "core/tree.h"
 #include "kvstore/store.h"
-#include "log/logrecord.h"
 #include "net/server.h"
 #include "util/rand.h"
 #include "workload/keys.h"
@@ -51,18 +50,11 @@ struct LogDuelResult {
   uint64_t physical_bytes = 0;
   uint64_t logical_bytes = 0;
   uint64_t compressed_records = 0;
-  // What the same records would have cost in the fixed-width v1 framing.
-  uint64_t v1_bytes = 0;
 
   double bytes_per_op() const {
     return appends == 0 ? 0.0
                         : static_cast<double>(physical_bytes) /
                               static_cast<double>(appends);
-  }
-  double saved_vs_v1_pct() const {
-    return v1_bytes == 0 ? 0.0
-                         : 100.0 * (1.0 - static_cast<double>(physical_bytes) /
-                                              static_cast<double>(v1_bytes));
   }
   double compression_ratio() const {
     return physical_bytes == 0
@@ -130,14 +122,6 @@ LogDuelResult log_duel(const std::string& log_dir, const std::string& value,
   r.logical_bytes = sl.ti().counters().get(Counter::kLogBytesLogical) - l0;
   r.compressed_records =
       sl.ti().counters().get(Counter::kLogCompressedRecords) - c0;
-  // Analytic v1 cost of the records the logged store actually appended,
-  // regenerated outside any timed leg: 29 fixed bytes + key + per-column
-  // (2 + 4 + len) with the 2-byte ncols count.
-  for (uint64_t k = 0; k < next_key[1]; ++k) {
-    std::string key = decimal_key(key_tag + (uint64_t{1} << 62) + k);
-    r.v1_bytes += logwire::kRecordOverheadV1 + key.size() + 2 + 2 + 4 +
-                  value.size();
-  }
   std::sort(ratios.begin(), ratios.end());
   double med = ratios[ratios.size() / 2];
   r.overhead_pct = (1.0 / med - 1.0) * 100.0;
@@ -305,8 +289,8 @@ int main(int argc, char** argv) {
   }
 
   // Range scans (§3 getrange) through the snapshot-batched ScanCursor:
-  // random start keys, kScanLen pairs per scan, scan_batch's next-border
-  // prefetch on. Reported as pairs/second.
+  // random start keys, kScanLen pairs per scan, next-border prefetch on.
+  // Reported as pairs/second.
   constexpr size_t kScanLen = 100;
   double scan_mops =
       timed_mops(e.threads, e.secs, [&](unsigned t, const std::atomic<bool>& stop) {
@@ -314,7 +298,7 @@ int main(int argc, char** argv) {
         Rng rng(600 + t);
         uint64_t pairs = 0, sink = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          pairs += tree.scan_batch(
+          pairs += tree.scan(
               decimal_key(rng.next_range(loaded)), kScanLen,
               [&](std::string_view k, uint64_t v) {
                 sink += v + k.size();
@@ -329,9 +313,9 @@ int main(int argc, char** argv) {
 
   // Write-side persistence cost (§5): chunk-interleaved logged-vs-unlogged
   // put duels (see log_duel above). The 8-byte-value mix is the paper's
-  // <10% overhead trajectory metric and, since PR 8, also the wire-volume
-  // one: log_bytes_per_op and the saving against the fixed-width v1 framing
-  // come from the logged store's kLogBytes* counters. The second duel uses
+  // <10% overhead trajectory metric and also the wire-volume one:
+  // log_bytes_per_op comes from the logged store's kLogBytes* counters
+  // (run_bench.sh caps it at 35 B/op). The second duel uses
   // 1 KiB JSON-ish values — above the compression threshold — so its
   // overhead and compression ratio exercise the lz path end to end.
   std::string log_dir = std::filesystem::temp_directory_path().string() + "/benchjson-logs";
@@ -340,9 +324,8 @@ int main(int argc, char** argv) {
   double put_unlogged_mops = mix.unlogged_mops;
   double put_logged_mops = mix.logged_mops;
   double log_overhead_pct = mix.overhead_pct;
-  std::printf("log duel (8B values): overhead %.2f%%, %.1f bytes/op, "
-              "%.1f%% saved vs v1\n",
-              mix.overhead_pct, mix.bytes_per_op(), mix.saved_vs_v1_pct());
+  std::printf("log duel (8B values): overhead %.2f%%, %.1f bytes/op\n",
+              mix.overhead_pct, mix.bytes_per_op());
 
   std::string value_1kb;
   for (int f = 0; value_1kb.size() < 1024; ++f) {
@@ -504,7 +487,6 @@ int main(int argc, char** argv) {
   add("    \"put_logged_mops\": %.4f,\n", put_logged_mops);
   add("    \"log_overhead_pct\": %.2f,\n", log_overhead_pct);
   add("    \"log_bytes_per_op\": %.2f,\n", mix.bytes_per_op());
-  add("    \"log_bytes_saved_pct\": %.2f,\n", mix.saved_vs_v1_pct());
   add("    \"log_overhead_1kb_pct\": %.2f,\n", log_overhead_1kb_pct);
   add("    \"log_1kb_bytes_per_op\": %.2f,\n", kb.bytes_per_op());
   add("    \"log_1kb_compression_ratio\": %.3f,\n", kb.compression_ratio());

@@ -30,203 +30,60 @@ fi
 echo "== bench_json -> $json_out"
 "$bin_dir/bench_json" "$json_out"
 
-# The batched-read path must be measured on every run: assert the
-# multiget_mops column is present and non-zero (CI's bench smoke relies on
-# this check).
-mg=$(sed -n 's/.*"multiget_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$mg" ]; then
-    echo "run_bench.sh: multiget_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$mg" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: multiget_mops is zero in $json_out" >&2
-    exit 1
-fi
-echo "== multiget_mops = $mg (present and non-zero)"
-
-# The batched-WRITE path (PR 9): multiput_mops and multiput_batch must be
-# present and non-zero, and net_batched_puts must be present and non-zero —
-# the server must actually coalesce write runs across connections into
-# Store::multiput, not just serve them one by one.
-mp=$(sed -n 's/.*"multiput_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$mp" ]; then
-    echo "run_bench.sh: multiput_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$mp" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: multiput_mops is zero in $json_out" >&2
-    exit 1
-fi
-mpb=$(sed -n 's/.*"multiput_batch": \([0-9]*\).*/\1/p' "$json_out")
-if [ -z "$mpb" ]; then
-    echo "run_bench.sh: multiput_batch missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$mpb" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: multiput_batch is zero in $json_out" >&2
-    exit 1
-fi
-nbp=$(sed -n 's/.*"net_batched_puts": \([0-9]*\).*/\1/p' "$json_out")
-if [ -z "$nbp" ]; then
-    echo "run_bench.sh: net_batched_puts missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$nbp" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: net_batched_puts is zero in $json_out" >&2
-    exit 1
-fi
-echo "== multiput_mops = $mp at batch $mpb, net_batched_puts = $nbp"
-
-# Same for the range-scan path: scan_mops must be present and non-zero so the
-# snapshot-batched getrange fast path stays measured on every run.
-sc=$(sed -n 's/.*"scan_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$sc" ]; then
-    echo "run_bench.sh: scan_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$sc" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: scan_mops is zero in $json_out" >&2
-    exit 1
-fi
-echo "== scan_mops = $sc (present and non-zero)"
-
-# The §5 write-side persistence path: put_logged_mops must be present and
-# non-zero, and log_overhead_pct must be present and finite — which requires
-# a non-zero unlogged denominator (the bench emits 0.0 only when the
-# denominator degenerates, and a dead logged path would read as ~100).
-pl=$(sed -n 's/.*"put_logged_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$pl" ]; then
-    echo "run_bench.sh: put_logged_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$pl" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: put_logged_mops is zero in $json_out" >&2
-    exit 1
-fi
-ov=$(sed -n 's/.*"log_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$ov" ]; then
-    echo "run_bench.sh: log_overhead_pct missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$ov" | awk '{ print ($1 > -1000 && $1 < 1000) ? "ok" : "bad" }')" != "ok" ]; then
-    echo "run_bench.sh: log_overhead_pct not finite in $json_out: $ov" >&2
-    exit 1
-fi
-# Non-regression gate for the fault-injection seam: every persistence
-# syscall now routes through masstree::io, whose unarmed fast path must stay
-# one relaxed atomic load + tail call. If the seam (or anything else on the
-# logged-write path) grows real per-call cost, the logged/unlogged gap blows
-# past this ceiling. Historical values sit around 0 (+/- noise on a one-core
-# box), so the default leaves wide noise margin while still catching a
-# pessimized seam; override with MT_LOG_OVERHEAD_MAX_PCT.
+# Headline gates, one row per check: "metric predicate". Each metric must
+# be present in the JSON, and the awk predicate over its value v must hold.
+# Rows, by path:
+#   batched reads/writes   multiget/multiput throughput and batch non-zero;
+#                          net_batched_puts > 0 means the server coalesces
+#                          write runs across connections into Store::multiput
+#   range scans            scan_mops non-zero
+#   logged writes (§5)     put_logged_mops non-zero; log_overhead_pct finite
+#                          (a dead unlogged denominator reads as 0, a dead
+#                          logged path as ~100) and at most ov_max, which
+#                          catches a pessimized fault-injection seam on the
+#                          append path (historical values sit near 0;
+#                          override with MT_LOG_OVERHEAD_MAX_PCT);
+#                          log_bytes_per_op at most 35 B (the compact framing
+#                          measures about 30.5 B for the 8-byte-value duel)
+#   1 KiB values           overhead finite (the <10% paper budget is tracked,
+#                          but too noisy to hard-gate on one core);
+#                          compression ratio > 1 (these values are built to
+#                          compress, so 1.0 means the lz path is dead)
+#   served gets (§6.1)     net_get_mops and net_conns non-zero
+#   record cache (Fig. 11) zipf_get_mops non-zero, cache_hit_pct a
+#                          percentage, cache_capacity recorded
 ov_max=${MT_LOG_OVERHEAD_MAX_PCT:-50}
-if [ "$(printf '%s %s\n' "$ov" "$ov_max" | awk '{ print ($1 <= $2) ? "ok" : "high" }')" != "ok" ]; then
-    echo "run_bench.sh: log_overhead_pct regressed above ${ov_max}%: $ov" >&2
-    exit 1
-fi
-echo "== put_logged_mops = $pl, log_overhead_pct = $ov (finite, <= ${ov_max}%)"
-
-# PR 8's wire-volume metrics: the v2 varint framing must actually be in
-# effect. log_bytes_per_op must be present and non-zero; log_bytes_saved_pct
-# (v2 physical bytes vs the analytic v1 cost of the same records) must be
-# >= 35, or the compact framing has regressed to roughly v1 sizes.
-bpo=$(sed -n 's/.*"log_bytes_per_op": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$bpo" ]; then
-    echo "run_bench.sh: log_bytes_per_op missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$bpo" | awk '{ print ($1 > 0 && $1 < 100000) ? "ok" : "bad" }')" != "ok" ]; then
-    echo "run_bench.sh: log_bytes_per_op not positive/finite in $json_out: $bpo" >&2
-    exit 1
-fi
-sv=$(sed -n 's/.*"log_bytes_saved_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$sv" ]; then
-    echo "run_bench.sh: log_bytes_saved_pct missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$sv" | awk '{ print ($1 >= 35) ? "ok" : "low" }')" != "ok" ]; then
-    echo "run_bench.sh: log_bytes_saved_pct below the 35% floor: $sv" >&2
-    exit 1
-fi
-echo "== log_bytes_per_op = $bpo, log_bytes_saved_pct = $sv (>= 35)"
-
-# The 1 KiB compressible-value duel: overhead must be present and finite
-# (the <10% paper budget is tracked, but a one-core CI box is too noisy to
-# hard-gate a timing ratio), and the compression ratio must be a real
-# number > 1 — these values are built to compress, so 1.0 means the lz path
-# is dead.
-ov1=$(sed -n 's/.*"log_overhead_1kb_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$ov1" ]; then
-    echo "run_bench.sh: log_overhead_1kb_pct missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$ov1" | awk '{ print ($1 > -1000 && $1 < 1000) ? "ok" : "bad" }')" != "ok" ]; then
-    echo "run_bench.sh: log_overhead_1kb_pct not finite in $json_out: $ov1" >&2
-    exit 1
-fi
-cr=$(sed -n 's/.*"log_1kb_compression_ratio": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$cr" ]; then
-    echo "run_bench.sh: log_1kb_compression_ratio missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$cr" | awk '{ print ($1 > 1.0 && $1 < 10000) ? "ok" : "bad" }')" != "ok" ]; then
-    echo "run_bench.sh: log_1kb_compression_ratio not > 1 in $json_out: $cr" >&2
-    exit 1
-fi
-echo "== log_overhead_1kb_pct = $ov1, log_1kb_compression_ratio = $cr (> 1)"
-
-# The §6.1 served path: net_get_mops (gets through the epoll event-loop
-# server over the wire) and net_conns (the pipelined connection count it was
-# measured at) must both be present and non-zero, so the network layer stays
-# measured on every run.
-ng=$(sed -n 's/.*"net_get_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$ng" ]; then
-    echo "run_bench.sh: net_get_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$ng" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: net_get_mops is zero in $json_out" >&2
-    exit 1
-fi
-nc=$(sed -n 's/.*"net_conns": \([0-9]*\).*/\1/p' "$json_out")
-if [ -z "$nc" ]; then
-    echo "run_bench.sh: net_conns missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$nc" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: net_conns is zero in $json_out" >&2
-    exit 1
-fi
-echo "== net_get_mops = $ng at net_conns = $nc (present and non-zero)"
-
-# The record-cache path (Figure 11's skew experiment): zipf_get_mops (skewed
-# gets through the hot-key record cache) must be present and non-zero, and
-# cache_hit_pct must be a sane percentage — a dead cache would read as 0 hits
-# and a validation bug as a nonsense ratio.
-zg=$(sed -n 's/.*"zipf_get_mops": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$zg" ]; then
-    echo "run_bench.sh: zipf_get_mops missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$zg" | awk '{ print ($1 > 0) ? "ok" : "zero" }')" != "ok" ]; then
-    echo "run_bench.sh: zipf_get_mops is zero in $json_out" >&2
-    exit 1
-fi
-ch=$(sed -n 's/.*"cache_hit_pct": \([0-9.]*\).*/\1/p' "$json_out")
-if [ -z "$ch" ]; then
-    echo "run_bench.sh: cache_hit_pct missing from $json_out" >&2
-    exit 1
-fi
-if [ "$(printf '%s\n' "$ch" | awk '{ print ($1 >= 0 && $1 <= 100) ? "ok" : "bad" }')" != "ok" ]; then
-    echo "run_bench.sh: cache_hit_pct out of [0,100] in $json_out: $ch" >&2
-    exit 1
-fi
-cc=$(sed -n 's/.*"cache_capacity": \([0-9]*\).*/\1/p' "$json_out")
-if [ -z "$cc" ]; then
-    echo "run_bench.sh: cache_capacity missing from $json_out" >&2
-    exit 1
-fi
-echo "== zipf_get_mops = $zg, cache_hit_pct = $ch, cache_capacity = $cc"
+while read -r metric pred; do
+    [ -n "$metric" ] || continue
+    # Only a real number counts: nan, -nan or inf reads as missing.
+    v=$(sed -n "s/.*\"$metric\": \(-\{0,1\}[0-9][0-9.]*\).*/\1/p" "$json_out")
+    if [ -z "$v" ]; then
+        echo "run_bench.sh: $metric missing or not a number in $json_out" >&2
+        exit 1
+    fi
+    if ! awk -v v="$v" "BEGIN { v += 0; exit !($pred) }"; then
+        echo "run_bench.sh: $metric = $v fails gate: $pred" >&2
+        exit 1
+    fi
+    echo "== $metric = $v ($pred)"
+done <<EOF
+multiget_mops             v > 0
+multiput_mops             v > 0
+multiput_batch            v > 0
+net_batched_puts          v > 0
+scan_mops                 v > 0
+put_logged_mops           v > 0
+log_overhead_pct          v > -1000 && v < 1000
+log_overhead_pct          v <= $ov_max
+log_bytes_per_op          v > 0 && v <= 35
+log_overhead_1kb_pct      v > -1000 && v < 1000
+log_1kb_compression_ratio v > 1.0 && v < 10000
+net_get_mops              v > 0
+net_conns                 v > 0
+zipf_get_mops             v > 0
+cache_hit_pct             v >= 0 && v <= 100
+cache_capacity            1
+EOF
 
 if [ -x "$bin_dir/micro_gbench" ]; then
     echo "== micro_gbench -> $out_dir/BENCH_gbench.json"
@@ -240,7 +97,7 @@ fi
 echo "== fig10_scalability -> $out_dir/BENCH_fig10.txt"
 "$bin_dir/fig10_scalability" | tee "$out_dir/BENCH_fig10.txt"
 
-# Range-scan sweep (legacy vs cursor vs batch at lengths 10/100/1000) plus the
+# Range-scan sweep (Tree::scan at lengths 10/100/1000) plus the
 # allocation-free steady-state check — sec3_scan exits non-zero if the chain
 # walk ever allocates per node visit.
 echo "== sec3_scan -> $out_dir/BENCH_sec3_scan.txt"

@@ -2,21 +2,15 @@
 //
 // Sweeps scan lengths {10, 100, 1000} over the §6.1 decimal-key workload
 // (1-10 byte keys, 80% of which are 9-10 bytes, so layer-1 trees and suffix
-// bags are genuinely exercised) and reports, single-threaded:
+// bags are genuinely exercised) and reports Tree::scan throughput (the
+// snapshot-batched ScanCursor with the next border prefetched ahead of
+// emission) single-threaded, plus a multi-threaded len-100 row at the
+// harness thread count.
 //
-//   legacy   the pre-cursor Tree::scan_legacy (re-locates the border on every
-//            frame re-entry, heap-allocates per-entry suffix copies) — the
-//            seed implementation this PR's ScanCursor must beat
-//   cursor   Tree::scan: thin driver over the snapshot-batched ScanCursor
-//   batch    Tree::scan_batch: cursor + next-border prefetch overlapped with
-//            emission
-//
-// plus a multi-threaded scan_batch row at the harness thread count, and the
-// allocation-free proof: a long chain-walk drive whose per-node-visit buffer
-// growth (ScanCursor::alloc_events, Counter::kScanAllocs) must be ZERO after
-// warm-up. The perf claim of the range-scan PR is "cursor >= 1.5x legacy at
-// len 10, single-threaded, and zero steady-state allocations"; this binary
-// prints both so the claim is checkable from the run log.
+// It ends with the allocation-free proof: a long chain-walk drive whose
+// per-node-visit buffer growth (ScanCursor::alloc_events,
+// Counter::kScanAllocs) must be ZERO after warm-up. The binary exits
+// non-zero if it is not.
 
 #include <atomic>
 #include <cstdio>
@@ -35,15 +29,20 @@ using namespace masstree::bench;
 std::atomic<uint64_t> g_sink;
 
 // One timed single-threaded phase: scans of `len` pairs from random starts.
-template <typename ScanFn>
-double scan_mops_1t(double secs, uint64_t nkeys, size_t len, ScanFn&& scan) {
+double scan_mops_1t(const Tree& tree, double secs, uint64_t nkeys, size_t len) {
   return timed_mops(1, secs, [&](unsigned, const std::atomic<bool>& stop) {
+    thread_local ThreadContext ti;
     Rng rng(42);
     uint64_t pairs = 0;
     uint64_t sink = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      std::string start = decimal_key(rng.next_range(nkeys));
-      pairs += scan(start, len, sink);
+      pairs += tree.scan(
+          decimal_key(rng.next_range(nkeys)), len,
+          [&](std::string_view k, uint64_t v) {
+            sink += v + k.size();
+            return true;
+          },
+          ti);
     }
     g_sink += sink;
     return pairs;
@@ -67,63 +66,19 @@ int main() {
     }
   }
 
-  std::printf("%-8s %10s %10s %8s %10s %8s\n", "scan_len", "legacy", "cursor", "ratio",
-              "batch", "ratio");
-  double len10_legacy = 0, len10_batch = 0;
+  std::printf("%-8s %10s\n", "scan_len", "Mpairs/s");
   for (size_t len : {size_t{10}, size_t{100}, size_t{1000}}) {
-    double secs = e.secs / 2;
-    double legacy = scan_mops_1t(secs, e.keys, len, [&](const std::string& s, size_t l, uint64_t& sink) {
-      thread_local ThreadContext ti;
-      return tree.scan_legacy(
-          s, l,
-          [&](std::string_view k, uint64_t v) {
-            sink += v + k.size();
-            return true;
-          },
-          ti);
-    });
-    double cursor = scan_mops_1t(secs, e.keys, len, [&](const std::string& s, size_t l, uint64_t& sink) {
-      thread_local ThreadContext ti;
-      return tree.scan(
-          s, l,
-          [&](std::string_view k, uint64_t v) {
-            sink += v + k.size();
-            return true;
-          },
-          ti);
-    });
-    double batch = scan_mops_1t(secs, e.keys, len, [&](const std::string& s, size_t l, uint64_t& sink) {
-      thread_local ThreadContext ti;
-      return tree.scan_batch(
-          s, l,
-          [&](std::string_view k, uint64_t v) {
-            sink += v + k.size();
-            return true;
-          },
-          ti);
-    });
-    std::printf("%-8zu %9.3fM %9.3fM %7.2fx %9.3fM %7.2fx\n", len, legacy, cursor,
-                cursor / legacy, batch, batch / legacy);
-    if (len == 10) {
-      len10_legacy = legacy;
-      len10_batch = batch;
-    }
+    std::printf("%-8zu %9.3fM\n", len, scan_mops_1t(tree, e.secs / 2, e.keys, len));
   }
-  // The PR's perf claim, spelled out: the shipped range-read path (scan_batch
-  // — what Store::getrange and bench_json's scan_mops drive) vs the seed scan
-  // at length 10, single-threaded.
-  std::printf("claim len=10 1T: scan_batch %.3fM vs legacy %.3fM = %.2fx (>=1.5x: %s)\n",
-              len10_batch, len10_legacy, len10_batch / len10_legacy,
-              len10_batch >= 1.5 * len10_legacy ? "PASS" : "FAIL");
 
-  // Multi-threaded batched scans, len 100 (the YCSB-E-shaped datapoint).
+  // Multi-threaded scans, len 100 (the YCSB-E-shaped datapoint).
   {
     double mt = timed_mops(e.threads, e.secs / 2, [&](unsigned t, const std::atomic<bool>& stop) {
       thread_local ThreadContext ti;
       Rng rng(1000 + t);
       uint64_t pairs = 0, sink = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        pairs += tree.scan_batch(
+        pairs += tree.scan(
             decimal_key(rng.next_range(e.keys)), 100,
             [&](std::string_view k, uint64_t v) {
               sink += v + k.size();
@@ -134,7 +89,7 @@ int main() {
       g_sink += sink;
       return pairs;
     });
-    std::printf("scan_batch len=100 x %u threads: %9.3f Mpairs/s\n", e.threads, mt);
+    std::printf("scan len=100 x %u threads: %9.3f Mpairs/s\n", e.threads, mt);
   }
 
   // Allocation-free steady state: drive one cursor over the whole tree and

@@ -8,8 +8,8 @@
 //  (2) PALM-style parallel (batched) lookup: "Our implementation of this
 //      technique did not improve performance on our 48-core AMD machine, but
 //      on a 24-core Intel machine, throughput rose by up to 34%." — the
-//      cursor-pipelined multiget() at a sweep of batch sizes, plus the legacy
-//      prefetch_for()+get() scheme for comparison.
+//      cursor-pipelined multiget() at a sweep of batch sizes, and its write
+//      twin multiput().
 
 #include <span>
 
@@ -134,31 +134,6 @@ int main() {
                     batch, mops, 100.0 * (mops - seq_puts) / seq_puts);
       }
     }
-
-    // ---- (2c) legacy scheme: prefetch every path, then get sequentially ----
-    double batched =
-        timed_mops(e.threads, e.secs, [&](unsigned t, const std::atomic<bool>& stop) {
-          thread_local ThreadContext ti;
-          Rng rng(23 + t);
-          uint64_t ops = 0, v;
-          std::string keys[16];
-          while (!stop.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < 16; ++i) {
-              keys[i] = decimal_key(rng.next_range(e.keys));
-            }
-            for (int i = 0; i < 16; ++i) {
-              tree.prefetch_for(keys[i]);  // overlap the DRAM fetches
-            }
-            for (int i = 0; i < 16; ++i) {
-              tree.get(keys[i], &v, ti);
-            }
-            ops += 16;
-          }
-          return ops;
-        });
-    std::printf("legacy prefetch_for (16):  plain %7.3f Mops, batched %7.3f Mops -> "
-                "%+.1f%%\n",
-                linear, batched, 100.0 * (batched - linear) / linear);
   }
   {
     ThreadContext setup;

@@ -208,7 +208,7 @@ class FastBtree {
     for (;;) {
       Border* n;
       VersionValue v;
-      reach_border(key, &n, &v);
+      find_border(key, &n, &v);
       for (;;) {
         int idx = -1;
         int count = n->count();
@@ -365,7 +365,7 @@ class FastBtree {
     return p;
   }
 
-  void reach_border(std::string_view key, Border** out, VersionValue* vout) const {
+  void find_border(std::string_view key, Border** out, VersionValue* vout) const {
   retry:
     Node* n = root_.load(std::memory_order_acquire);
     VersionValue v = n->version().stable();
@@ -408,7 +408,7 @@ class FastBtree {
   Border* locate_locked(std::string_view key) const {
     Border* n;
     VersionValue v;
-    reach_border(key, &n, &v);
+    find_border(key, &n, &v);
     n->version().lock();
     for (;;) {
       Border* nx = n->next.load(std::memory_order_acquire);

@@ -8,10 +8,14 @@
 //
 // A checkpoint is a directory of part files (one per checkpoint worker, each
 // covering a key range) plus a MANIFEST written last via rename, so an
-// interrupted checkpoint is simply invisible to recovery.
+// interrupted checkpoint is simply invisible to recovery. Parts are named
+// part-<start_ts_us>-<worker>.ckpt after the checkpoint's start time, which
+// the MANIFEST records, so a new checkpoint into the same directory never
+// opens the files the committed MANIFEST names. Once the new MANIFEST's
+// rename is durable, parts it does not name are unlinked.
 //
-// Part format v2 (current): the file opens with "MTCK" u8 format_version,
-// then varint-framed records sharing the log's column encoding:
+// Part format: the file opens with "MTCK" u8 format_version (2), then
+// varint-framed records sharing the log's column encoding:
 //
 //   varint payload_len | payload | u32 crc32c(payload)
 //   payload: varint klen | key | varint row_version | varint ncols |
@@ -19,10 +23,9 @@
 //                        [varint stored_len when compressed], stored bytes
 //
 // Columns at or above the writer's compress threshold are lz-compressed
-// with an incompressible bail-out, mirroring the log. Headerless files are
-// read with the legacy v1 layout (u32 klen | key | u64 row_version |
-// u16 ncols | (u32 len | bytes)* | u32 crc32(record)); an unknown header
-// version fail-stops rather than reading as an empty checkpoint.
+// with an incompressible bail-out, mirroring the log. A part without the
+// header reads as empty; an unknown header version fail-stops rather than
+// reading as an empty checkpoint.
 
 #ifndef MASSTREE_CHECKPOINT_CHECKPOINT_H_
 #define MASSTREE_CHECKPOINT_CHECKPOINT_H_
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -56,17 +60,38 @@ struct CheckpointManifest {
   bool valid = false;
 };
 
-inline std::string checkpoint_part_path(const std::string& dir, unsigned part) {
-  return dir + "/part-" + std::to_string(part) + ".ckpt";
+inline std::string checkpoint_part_name(uint64_t start_ts_us, unsigned part) {
+  return "part-" + std::to_string(start_ts_us) + "-" + std::to_string(part) + ".ckpt";
+}
+inline std::string checkpoint_part_path(const std::string& dir, uint64_t start_ts_us,
+                                        unsigned part) {
+  return dir + "/" + checkpoint_part_name(start_ts_us, part);
 }
 inline std::string checkpoint_manifest_path(const std::string& dir) {
   return dir + "/MANIFEST";
 }
 
+// Makes the directory's entries (creates, renames, unlinks) durable. A
+// filesystem that cannot sync directories at all (EINVAL) is not an error.
+inline bool sync_dir(const std::string& dir) {
+  int fd = io::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return false;
+  }
+  int sr;
+  while ((sr = io::fdatasync(fd)) != 0 && errno == EINTR) {
+  }
+  bool ok = sr == 0 || errno == EINVAL;
+  io::close(fd);
+  return ok;
+}
+
 // The MANIFEST is the checkpoint's commit point: parts are fdatasynced by
 // their writers, the manifest body is written + fdatasynced to a temp file,
-// and the final rename publishes it atomically — a crash (or a FaultPlan
-// power cut) anywhere before the rename leaves the checkpoint invisible.
+// the directory is synced so the parts' entries are durable, and the final
+// rename publishes it atomically — a crash (or a FaultPlan power cut)
+// anywhere before the rename leaves the checkpoint invisible. The rename is
+// synced too: returning true means the commit is durable.
 inline bool write_manifest(const std::string& dir, const CheckpointManifest& m) {
   std::string tmp = dir + "/MANIFEST.tmp";
   std::string body = "masstree-checkpoint v1\nstart_ts_us " +
@@ -93,14 +118,34 @@ inline bool write_manifest(const std::string& dir, const CheckpointManifest& m) 
   while ((sr = io::fdatasync(fd)) != 0 && errno == EINTR) {
   }
   io::close(fd);
-  if (sr != 0) {
+  if (sr != 0 || !sync_dir(dir)) {
     return false;
   }
   int rr;
   while ((rr = io::rename(tmp.c_str(), checkpoint_manifest_path(dir).c_str())) != 0 &&
          errno == EINTR) {
   }
-  return rr == 0;
+  return rr == 0 && sync_dir(dir);
+}
+
+// Unlinks every part file in `dir` that `m` does not name: the previous
+// checkpoint's parts and those of interrupted ones. Call only after
+// write_manifest(dir, m) succeeded — its directory sync orders the rename
+// before these unlinks.
+inline void remove_stale_parts(const std::string& dir, const CheckpointManifest& m) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("part-", 0) != 0 || name.compare(name.size() - 5, 5, ".ckpt") != 0) {
+      continue;
+    }
+    bool named = false;
+    for (unsigned w = 0; w < m.parts && !named; ++w) {
+      named = name == checkpoint_part_name(m.start_ts_us, w);
+    }
+    while (!named && io::unlink(entry.path().c_str()) != 0 && errno == EINTR) {
+    }
+  }
 }
 
 inline CheckpointManifest read_manifest(const std::string& dir) {
@@ -128,7 +173,7 @@ inline CheckpointManifest read_manifest(const std::string& dir) {
   return m;
 }
 
-// Streaming writer for one part file (v2: varint framing + per-column lz
+// Streaming writer for one part file (varint framing + per-column lz
 // compression above `compress_threshold`, 0 disables). Writes go through
 // the masstree::io seam, so checkpoint parts are covered by the same fault
 // plans (ENOSPC, short writes, power cuts) as the log; the first failing
@@ -260,9 +305,9 @@ struct CheckpointRecord {
 
 namespace ckptwire {
 
-// v2 record stream starting at `pos` (just past the header).
-inline void read_v2_records(const std::string& data, size_t pos,
-                            std::vector<CheckpointRecord>* out) {
+// Record stream starting at `pos` (just past the header).
+inline void read_records(const std::string& data, size_t pos,
+                         std::vector<CheckpointRecord>* out) {
   const char* base = data.data();
   const char* dend = base + data.size();
   while (pos < data.size()) {
@@ -343,9 +388,9 @@ inline void read_v2_records(const std::string& data, size_t pos,
 
 // Reads a whole part file; stops silently at a torn/corrupt tail (a crash
 // mid-part without a manifest would not be read at all; this is extra
-// defensiveness for damaged storage). Headerless files decode with the
-// legacy v1 layout; an unknown "MTCK" header version throws instead of
-// reading as empty — fail-stop beats silently restoring nothing.
+// defensiveness for damaged storage). A file without the "MTCK" header
+// (missing, empty, torn or foreign) reads as empty; an unknown header
+// version throws instead — fail-stop beats silently restoring nothing.
 inline std::vector<CheckpointRecord> read_checkpoint_part(const std::string& path) {
   std::vector<CheckpointRecord> out;
   std::ifstream in(path, std::ios::binary);
@@ -353,66 +398,15 @@ inline std::vector<CheckpointRecord> read_checkpoint_part(const std::string& pat
     return out;
   }
   std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (data.size() >= 4 && std::memcmp(data.data(), kCkptMagic, 4) == 0) {
-    if (data.size() < 5) {
-      return out;  // torn header
-    }
-    uint8_t ver = static_cast<uint8_t>(data[4]);
-    if (ver != kCkptFormatV2) {
-      throw std::runtime_error(
-          "checkpoint: unsupported part format version " +
-          std::to_string(ver) + " in " + path);
-    }
-    ckptwire::read_v2_records(data, 5, &out);
+  if (data.size() < 5 || std::memcmp(data.data(), kCkptMagic, 4) != 0) {
     return out;
   }
-  size_t pos = 0;
-  auto read_raw = [&data](size_t at, auto* v) {
-    std::memcpy(v, data.data() + at, sizeof(*v));
-  };
-  while (pos + 4 <= data.size()) {
-    size_t start = pos;
-    uint32_t klen;
-    read_raw(pos, &klen);
-    pos += 4;
-    if (pos + klen + 8 + 2 > data.size()) {
-      break;
-    }
-    CheckpointRecord r;
-    r.key.assign(data.data() + pos, klen);
-    pos += klen;
-    read_raw(pos, &r.row_version);
-    pos += 8;
-    uint16_t ncols;
-    read_raw(pos, &ncols);
-    pos += 2;
-    bool torn = false;
-    for (uint16_t i = 0; i < ncols && !torn; ++i) {
-      if (pos + 4 > data.size()) {
-        torn = true;
-        break;
-      }
-      uint32_t clen;
-      read_raw(pos, &clen);
-      pos += 4;
-      if (pos + clen > data.size()) {
-        torn = true;
-        break;
-      }
-      r.cols.emplace_back(data.data() + pos, clen);
-      pos += clen;
-    }
-    if (torn || pos + 4 > data.size()) {
-      break;
-    }
-    uint32_t want;
-    read_raw(pos, &want);
-    if (crc32(data.data() + start, pos - start) != want) {
-      break;
-    }
-    pos += 4;
-    out.push_back(std::move(r));
+  uint8_t ver = static_cast<uint8_t>(data[4]);
+  if (ver != kCkptFormatV2) {
+    throw std::runtime_error("checkpoint: unsupported part format version " +
+                             std::to_string(ver) + " in " + path);
   }
+  ckptwire::read_records(data, 5, &out);
   return out;
 }
 

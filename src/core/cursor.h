@@ -12,7 +12,7 @@
 //     BasicTree::multiget() round-robins a window of them.
 //   * border-location mode (the slice constructor): descends one layer for a
 //     single slice and stops at the responsible border node — the
-//     reach_border() step shared by scan and the locked writers.
+//     border-location step ScanCursor uses on layer entry and re-attach.
 //
 // States (one DRAM-touch of work per step, so a batch engine can overlap the
 // fetches of many concurrent lookups, §4.8 / PALM):
@@ -167,7 +167,7 @@ class LookupCursor {
   VersionValue hit_version() const { return v_; }
   int hit_slot() const { return hit_slot_; }
   // The observed true root of the current layer; callers keep it so retries
-  // skip forwarding chains (reach_border's in-out root parameter).
+  // skip forwarding chains.
   Node* layer_root() const { return root_; }
 
  private:
@@ -482,7 +482,8 @@ class WriteCursor {
 
   // Valid after kLocked: the LOCKED responsible border, still held.
   Border* locked() const { return locked_; }
-  // The observed true root of the current layer (reach_border's in-out root).
+  // The observed true root of the current layer; callers keep it so retries
+  // skip forwarding chains.
   Node* layer_root() const { return root_; }
   // Descent retries eaten so far (restarts after losing a deleted border plus
   // the inner lookup's revalidations).
@@ -518,7 +519,7 @@ class WriteCursor {
 // and then advances border-to-border along the B-link next() chain. Because
 // every layer frame keeps its own snapshot alive in the arena, popping back
 // out of a sub-layer resumes the parent's already-validated copy where it
-// left off; reach_border-style descents happen only on layer entry, when a
+// left off; border-locating descents happen only on layer entry, when a
 // node fell off the chain (deleted / dead layer), or when the cursor
 // re-attaches after an epoch gap — never per node visit or per layer pop,
 // which is what makes long scans allocation-free and descent-free in steady
@@ -733,7 +734,7 @@ class ScanCursor {
 
   struct Frame {
     Node* root;        // observed true root of this layer
-    Border* node;      // current border; nullptr => locate via reach_border
+    Border* node;      // current border; nullptr => locate() descends
     size_t prefix_len; // bytes of keybuf_ owned by enclosing layers
     uint64_t cslice;   // resume point: next key must be >= (cslice, cord, csuf_)
     int cord;          // 0..9, or kPastSlice
@@ -822,8 +823,8 @@ class ScanCursor {
     track_growth(fcap0, frames_.capacity());
   }
 
-  // Locate the border responsible for f.cslice in f's layer (the shared
-  // reach_border machine). True: f.node set. False: the layer died — the
+  // Locate the border responsible for f.cslice in f's layer (a
+  // border-location LookupCursor). True: f.node set. False: the layer died — the
   // frame was popped (or layer 0's root reloaded) and the caller re-loops.
   bool locate(Frame& f) {
     count(Counter::kScanRedescents);

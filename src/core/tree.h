@@ -7,16 +7,16 @@
 // border stabilize/forward, done): get() runs one cursor to completion,
 // multiget() round-robins a window of in-flight cursors and prefetches each
 // cursor's next node before touching any of them (§4.8 / PALM software
-// pipelining), and reach_border() — the border-location step shared by scan
-// and the locked writers — is the same machine stopped at its border. The
-// write side mirrors it: WriteCursor (also core/cursor.h) packages descend +
+// pipelining), and ScanCursor's border location is the same machine
+// stopped at its border. The write side mirrors it: WriteCursor (also core/cursor.h) packages descend +
 // lock-acquire as one resumable machine, locate_locked() runs one
 // synchronously, and multiput()/multiremove() round-robin a window of them
 // (sorted-key application, last-write-wins dedupe, per-key fallback to the
 // single-put path on suffix conflicts and splits).
-// scan()/scan_batch() drive the resumable ScanCursor (also core/cursor.h):
-// whole-border-node snapshots chain-walked along next() pointers,
-// allocation- and re-descent-free in steady state.
+// scan() drives the resumable ScanCursor (also core/cursor.h): whole
+// border-node snapshots chain-walked along next() pointers, with the next
+// border prefetched ahead of emission, allocation- and re-descent-free in
+// steady state.
 //
 // Writers lock only the nodes they change; inserts publish through the
 // permutation (§4.6.2), splits move keys strictly to the right under
@@ -615,19 +615,34 @@ class BasicTree {
   //
   // Thin driver over ScanCursor (core/cursor.h): one border-node snapshot per
   // batch, chain-walked via next() pointers, allocation- and descent-free in
-  // steady state.
+  // steady state. Software-pipelined: the prefetch for the next border node
+  // (and its suffix StringBag) is issued before the current snapshot's pairs
+  // are emitted, so the chain walk's next DRAM fetch overlaps with emission
+  // (§4.8's overlap-the-fetches argument applied to the range-read path).
+  //
+  // The cursor is a per-thread resident, reset per call, so repeated scans
+  // reuse warm buffers and a short scan performs zero heap allocations;
+  // nested scans (an emit callback scanning again) fall back to a
+  // stack-local cursor rather than corrupting the resident one.
   template <typename F>
   size_t scan(std::string_view first, size_t limit, F&& emit, ThreadContext& ti) const {
-    return scan_drive(first, limit, emit, ti, /*prefetch=*/false);
-  }
-
-  // scan(), software-pipelined: issues the prefetch for the next border node
-  // (and its suffix StringBag) before emitting the current snapshot's pairs,
-  // so the chain walk's next DRAM fetch overlaps with emission (§4.8's
-  // overlap-the-fetches argument applied to the range-read path).
-  template <typename F>
-  size_t scan_batch(std::string_view first, size_t limit, F&& emit, ThreadContext& ti) const {
-    return scan_drive(first, limit, emit, ti, /*prefetch=*/true);
+    if (limit == 0) {
+      return 0;
+    }
+    EpochGuard guard(ti.slot());
+    thread_local ScanCursor<C> resident;
+    thread_local bool resident_busy = false;
+    if (!resident_busy) {
+      resident_busy = true;
+      struct Lease {
+        bool* busy;
+        ~Lease() { *busy = false; }
+      } lease{&resident_busy};
+      resident.reset(root_, first);
+      return drive_cursor(resident, limit, emit, ti);
+    }
+    ScanCursor<C> cur(root_, first);
+    return drive_cursor(cur, limit, emit, ti);
   }
 
   // The cursor itself, for callers that manage epochs/batches directly (the
@@ -635,179 +650,6 @@ class BasicTree {
   // epoch guards; see ScanCursor's driving-protocol comment).
   ScanCursor<C> scan_cursor(std::string_view first) const {
     return ScanCursor<C>(root_, first);
-  }
-
-  // Pre-cursor scan implementation, kept verbatim as the ablation baseline
-  // for bench/sec3_scan (re-locates the border for every frame re-entry and
-  // heap-allocates per-entry suffix copies; the cursor exists to beat it).
-  template <typename F>
-  size_t scan_legacy(std::string_view first, size_t limit, F&& emit, ThreadContext& ti) const {
-    if (limit == 0) {
-      return 0;
-    }
-    EpochGuard guard(ti.slot());
-
-    struct Frame {
-      Node* root;
-      std::string prefix;  // key bytes consumed by enclosing layers
-      uint64_t cslice;     // cursor: next key must be >= (cslice, cord, csuf)
-      int cord;            // 0..9, or 10 = "past every key with cslice"
-      std::string csuf;
-      bool skip_equal;
-    };
-    auto make_frame = [](Node* root, std::string prefix, std::string_view start,
-                         bool skip_equal) {
-      Frame f;
-      f.root = root;
-      f.prefix = std::move(prefix);
-      f.cslice = make_slice(start);
-      f.cord = start.size() > kSliceBytes ? 9 : static_cast<int>(start.size());
-      if (start.size() > kSliceBytes) {
-        f.csuf.assign(start.substr(kSliceBytes));
-      }
-      f.skip_equal = skip_equal;
-      return f;
-    };
-
-    std::vector<Frame> stack;
-    stack.push_back(
-        make_frame(root_.load(std::memory_order_acquire), std::string(), first, false));
-    size_t emitted = 0;
-    std::string keybuf;
-
-    while (!stack.empty()) {
-      // Note: frames are re-entered after sub-layer scans; every visit
-      // re-locates the border node for the frame's cursor.
-      Border* n;
-      VersionValue v;
-      {
-        Frame& f = stack.back();
-        Node* root = f.root;
-        if (!reach_border(root, f.cslice, &n, &v)) {
-          if (stack.size() == 1) {
-            f.root = root_.load(std::memory_order_acquire);
-            continue;
-          }
-          stack.pop_back();  // the whole layer vanished: nothing left in it
-          continue;
-        }
-        f.root = root;
-      }
-
-      bool descended = false;
-      while (!descended) {
-        // Snapshot one border node.
-        struct Entry {
-          uint64_t slice;
-          uint8_t kx;
-          uint64_t lv;
-          std::string suf;
-        };
-        Entry ents[Border::kWidth];
-        int cnt = 0;
-        bool unstable = false;
-        Permuter perm = n->permutation();
-        Border* nx = n->next();
-        for (int i = 0; i < perm.size(); ++i) {
-          int s = perm.get(i);
-          Entry& e = ents[cnt++];
-          e.slice = n->slice(s);
-          e.kx = n->keylenx(s);
-          e.lv = n->lv(s);
-          if (keylenx_has_suffix(e.kx)) {
-            StringBag* bag = n->suffixes();
-            if (bag != nullptr) {
-              e.suf.assign(bag->get(s));
-            }
-          } else if (keylenx_is_unstable(e.kx)) {
-            unstable = true;
-          }
-        }
-        if (n->version().changed_since(v) || v.deleted()) {
-          Frame& f = stack.back();
-          Node* root = f.root;
-          if (!reach_border(root, f.cslice, &n, &v)) {
-            if (stack.size() > 1) {
-              stack.pop_back();
-              descended = true;  // leave node loop; outer loop re-dispatches
-              break;
-            }
-            f.root = root_.load(std::memory_order_acquire);
-            continue;
-          }
-          f.root = root;
-          continue;
-        }
-        if (unstable) {
-          spin_pause();
-          v = n->version().stable();
-          continue;
-        }
-
-        // Emit the validated snapshot.
-        for (int i = 0; i < cnt && !descended; ++i) {
-          Entry& e = ents[i];
-          Frame& f = stack.back();
-          int eo = keylenx_ord(e.kx);
-          if (e.slice < f.cslice || (e.slice == f.cslice && eo < f.cord)) {
-            continue;
-          }
-          if (e.slice == f.cslice && eo == f.cord) {
-            if (eo < 9) {
-              if (f.skip_equal) {
-                continue;
-              }
-            } else if (keylenx_has_suffix(e.kx)) {
-              int c = e.suf.compare(f.csuf);
-              if (c < 0 || (c == 0 && f.skip_equal)) {
-                continue;
-              }
-            }
-          }
-          if (keylenx_is_layer(e.kx)) {
-            // Recurse into the sub-layer; on return, resume past this slice.
-            std::string substart;
-            bool subskip = false;
-            if (e.slice == f.cslice && f.cord == 9) {
-              substart = f.csuf;
-              subskip = f.skip_equal;
-            }
-            std::string subprefix = f.prefix + slice_to_string(e.slice, kSliceBytes);
-            f.cslice = e.slice;
-            f.cord = 10;
-            f.csuf.clear();
-            Node* subroot = reinterpret_cast<Node*>(e.lv);
-            stack.push_back(make_frame(subroot, std::move(subprefix), substart, subskip));
-            descended = true;
-            break;
-          }
-          keybuf.assign(f.prefix);
-          keybuf.append(slice_to_string(e.slice, eo < 9 ? eo : kSliceBytes));
-          if (keylenx_has_suffix(e.kx)) {
-            keybuf.append(e.suf);
-          }
-          bool keep_going = emit(std::string_view(keybuf), e.lv);
-          ++emitted;
-          f.cslice = e.slice;
-          f.cord = eo;
-          f.csuf = keylenx_has_suffix(e.kx) ? e.suf : std::string();
-          f.skip_equal = true;
-          if (!keep_going || emitted >= limit) {
-            return emitted;
-          }
-        }
-        if (descended) {
-          break;
-        }
-        if (nx == nullptr) {
-          stack.pop_back();
-          break;
-        }
-        n = nx;
-        v = n->version().stable();
-      }
-    }
-    return emitted;
   }
 
   // --------------------------------------------------------------------
@@ -852,85 +694,20 @@ class BasicTree {
 
   Node* root_for_testing() const { return root_.load(std::memory_order_acquire); }
 
-  // Legacy batched-lookup support (§4.8 / PALM): issue the prefetches along
-  // one key's root-to-border path without version validation, so a batch of
-  // gets overlaps its DRAM fetches. Harmless if racy — it only prefetches.
-  // Superseded by multiget()'s cursor pipeline, which interleaves validated
-  // descents instead of walking every path twice; kept for the §4.8 ablation
-  // and for callers that batch at a distance from the gets themselves.
-  void prefetch_for(std::string_view k) const {
-    if constexpr (!C::kPrefetch) {
-      return;
-    }
-    Key key(k);
-    Node* n = root_.load(std::memory_order_acquire);
-    int hops = 0;
-    while (n != nullptr && ++hops < 16) {
-      prefetch_node(n);
-      VersionValue v = n->version().load();
-      if (v.is_border() || v.deleted()) {
-        if (v.is_border() && key.has_suffix()) {
-          // Without this, a long key's suffix compare after the descent still
-          // eats a cold DRAM miss on the suffix bag.
-          const StringBag* bag = n->as_border()->suffixes();
-          if (bag != nullptr) {
-            prefetch_object(bag, LookupCursor<C>::kSuffixPrefetchBytes);
-          }
-        }
-        return;
-      }
-      const Interior* in = n->as_interior();
-      n = in->child(in->child_index(key.slice()));
-    }
-  }
-
  private:
   static int search_ord(const Key& key) {
     return key.has_suffix() ? 9 : static_cast<int>(key.length_in_slice());
   }
 
-  // Shared scan()/scan_batch() driver: one epoch guard for the whole range,
-  // one ScanCursor run batch by batch. `prefetch` turns on the next-border
-  // lookahead that overlaps the chain walk's DRAM fetch with emission.
-  //
-  // The cursor is a per-thread resident, reset per call, so repeated scans
-  // reuse warm buffers and a short scan performs zero heap allocations;
-  // nested scans (an emit callback scanning again) fall back to a
-  // stack-local cursor rather than corrupting the resident one.
   template <typename F>
-  size_t scan_drive(std::string_view first, size_t limit, F& emit, ThreadContext& ti,
-                    bool prefetch) const {
-    if (limit == 0) {
-      return 0;
-    }
-    EpochGuard guard(ti.slot());
-    thread_local ScanCursor<C> resident;
-    thread_local bool resident_busy = false;
-    if (!resident_busy) {
-      resident_busy = true;
-      struct Lease {
-        bool* busy;
-        ~Lease() { *busy = false; }
-      } lease{&resident_busy};
-      resident.reset(root_, first);
-      return drive_cursor(resident, limit, emit, ti, prefetch);
-    }
-    ScanCursor<C> cur(root_, first);
-    return drive_cursor(cur, limit, emit, ti, prefetch);
-  }
-
-  template <typename F>
-  static size_t drive_cursor(ScanCursor<C>& cur, size_t limit, F& emit, ThreadContext& ti,
-                             bool prefetch) {
+  static size_t drive_cursor(ScanCursor<C>& cur, size_t limit, F& emit, ThreadContext& ti) {
     size_t emitted = 0;
     for (;;) {
       size_t n = cur.next_batch(&ti.counters(), limit - emitted);
       if (n == 0) {
         return emitted;
       }
-      if (prefetch) {
-        cur.prefetch_pending();
-      }
+      cur.prefetch_pending();
       for (size_t i = 0; i < n; ++i) {
         bool keep_going = emit(cur.key(i), cur.value(i));
         ++emitted;
@@ -955,34 +732,10 @@ class BasicTree {
     return n;
   }
 
-  static void prefetch_node(const Node* n) {
-    if constexpr (C::kPrefetch) {
-      prefetch_object(n, sizeof(Border));
-    }
-  }
-
-  // ---------------- descent (Figure 6) ----------------
-  //
-  // Finds the border node responsible for `slice` in the layer whose root is
-  // reachable from `root` (in-out: updated to the true root so retries skip
-  // forwarding chains). Returns false if the walk dead-ends on a retired
-  // layer, in which case the caller restarts from layer 0. This is a
-  // border-location LookupCursor run synchronously — the same descent the
-  // read path pipelines one step at a time.
-  static bool reach_border(Node*& root, uint64_t slice, Border** out, VersionValue* vout) {
-    LookupCursor<C> cur(root, slice);
-    if (cur.run(nullptr) == LookupCursor<C>::Status::kDeadLayer) {
-      return false;
-    }
-    root = cur.layer_root();
-    *out = cur.border();
-    *vout = cur.border_version();
-    return true;
-  }
-
   // Writer-side locate: returns the locked border node responsible for
   // `slice`, following splits right under lock. Returns null if the layer is
-  // dead (caller restarts from the top); `root` is updated like reach_border.
+  // dead (caller restarts from the top); `root` is updated to the layer's
+  // observed true root so retries skip forwarding chains.
   // This is a locked-writer WriteCursor run synchronously — the same
   // descend-and-acquire machine multiput() pipelines one step at a time.
   Border* locate_locked(Node*& root, uint64_t slice, ThreadContext& ti) const {

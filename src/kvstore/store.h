@@ -452,11 +452,20 @@ class Store {
   // ------------------------------------------------------------------
   // Checkpoint (§5): walks the tree in nworkers parallel key ranges while
   // normal operations continue. The MANIFEST is written only after every
-  // part completes.
+  // part completes. Parts are named by the start time, so this never
+  // rewrites the parts the committed MANIFEST names; those are unlinked
+  // once the new MANIFEST is durable.
   bool checkpoint(const std::string& dir, unsigned nworkers) {
     ::mkdir(dir.c_str(), 0755);
+    CheckpointManifest committed = read_manifest(dir);
     CheckpointManifest m;
     m.start_ts_us = wall_us();
+    if (committed.valid && m.start_ts_us == committed.start_ts_us) {
+      // Two checkpoints never share part names. Step back, not forward:
+      // replaying a few extra versioned log records is harmless, while a
+      // later start would skip writes made in the real start microsecond.
+      --m.start_ts_us;
+    }
     m.version_floor = version_counter_.load(std::memory_order_acquire);
     m.parts = nworkers;
     std::atomic<bool> ok{true};
@@ -469,7 +478,7 @@ class Store {
     for (unsigned w = 0; w < nworkers; ++w) {
       workers.emplace_back([&, w] {
         ThreadContext ti;
-        CheckpointPartWriter out(checkpoint_part_path(dir, w),
+        CheckpointPartWriter out(checkpoint_part_path(dir, m.start_ts_us, w),
                                  opt_.log_compress_threshold);
         if (!out.ok()) {
           ok = false;
@@ -551,7 +560,11 @@ class Store {
       }
       return false;
     }
-    return write_manifest(dir, m);
+    if (!write_manifest(dir, m)) {
+      return false;
+    }
+    remove_stale_parts(dir, m);
+    return true;
   }
 
   struct RecoveryResult {
@@ -573,12 +586,23 @@ class Store {
     if (m.valid) {
       res.used_checkpoint = true;
       since = m.start_ts_us;
+      // Parts are never rewritten or unlinked while their MANIFEST is
+      // committed, so a named part that is missing means damage or a
+      // foreign layout: fail-stop rather than silently restore nothing.
+      for (unsigned w = 0; w < m.parts; ++w) {
+        std::string path = checkpoint_part_path(checkpoint_dir, m.start_ts_us, w);
+        struct stat st;
+        if (::stat(path.c_str(), &st) != 0) {
+          throw std::runtime_error("checkpoint: MANIFEST names missing part " + path);
+        }
+      }
       std::atomic<uint64_t> loaded{0};
       std::vector<std::thread> workers;
       for (unsigned w = 0; w < m.parts; ++w) {
         workers.emplace_back([&, w] {
           Session s(*this, w);
-          auto records = read_checkpoint_part(checkpoint_part_path(checkpoint_dir, w));
+          auto records =
+              read_checkpoint_part(checkpoint_part_path(checkpoint_dir, m.start_ts_us, w));
           for (auto& r : records) {
             apply_row(r.key, r.cols, r.row_version, s);
           }
@@ -810,7 +834,6 @@ class Store {
     std::string path = log_path(opt_.log_dir, next_log_file_++);
     log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
                                                      part, &s.ti_.counters(),
-                                                     /*repair_existing_tail=*/false,
                                                      opt_.log_compress_threshold));
     LogShard* fresh = log_shards_.back().get();
     log_writers_[part]->add_shard(fresh);
@@ -829,7 +852,6 @@ class Store {
       unsigned part = idx % static_cast<unsigned>(log_writers_.size());
       log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
                                                        part, nullptr,
-                                                       /*repair_existing_tail=*/true,
                                                        opt_.log_compress_threshold));
       LogShard* shard = log_shards_.back().get();
       shard->park_adopted();

@@ -79,8 +79,7 @@ class LogWriter;
 class LogShard {
  public:
   LogShard(const std::string& path, size_t half_bytes, unsigned partition,
-           ThreadCounters* counters, bool repair_existing_tail,
-           size_t compress_threshold = 128)
+           ThreadCounters* counters, size_t compress_threshold = 128)
       : path_(path), partition_(partition),
         compress_threshold_(compress_threshold), counters_(counters) {
     // O_RDWR, not O_WRONLY: tail repair preads the existing contents. No
@@ -99,9 +98,9 @@ class LogShard {
           counters_->inc(Counter::kLogAllocs);
         }
       }
-      if (repair_existing_tail) {
-        chop_torn_tail();  // throws on an unknown format version
-      }
+      // Every open repairs: a non-empty file then always starts with a
+      // format header, which the writer only prepends at offset 0.
+      chop_torn_tail();  // throws on an unknown format version
     } catch (...) {
       io::close(fd_);
       throw;
@@ -109,15 +108,6 @@ class LogShard {
     off_t end = io::lseek(fd_, 0, SEEK_END);
     write_off_ = end > 0 ? static_cast<size_t>(end) : 0;
     prealloc_end_ = write_off_;
-    // A surviving pre-v2 (headerless) file gets a mid-file format header
-    // before the first new append, so its own records keep decoding as v1
-    // while everything we write decodes as v2.
-    if (write_off_ > 0) {
-      char magic[4] = {0, 0, 0, 0};
-      ssize_t got = io::pread(fd_, magic, sizeof(magic), 0);
-      pending_midfile_header_ =
-          got < 4 || std::memcmp(magic, logwire::kLogMagic, 4) != 0;
-    }
   }
 
   ~LogShard() { io::close(fd_); }
@@ -199,11 +189,11 @@ class LogShard {
       bool delta = prev_ts_valid_;
       uint64_t ts_field =
           delta ? vint::zigzag(static_cast<int64_t>(ts - prev_ts_us_)) : ts;
-      size_t need = logwire::remove_record_size_v2(key, version, ts_field);
+      size_t need = logwire::remove_record_size(key, version, ts_field);
       if (MT_UNLIKELY(need > bufs_[0].cap)) {
-        need = logwire::remove_record_size_v2(key, version, ts);
+        need = logwire::remove_record_size(key, version, ts);
         append_jumbo(need, [&](char* dst) {
-          logwire::encode_remove_v2_to(dst, key, version, ts, false);
+          logwire::encode_remove_to(dst, key, version, ts, false);
         });
         note_data_record(ts, need, need, false);
         return;
@@ -218,7 +208,7 @@ class LogShard {
         prev_ts_valid_ = false;
         continue;
       }
-      logwire::encode_remove_v2_to(dst, key, version, ts_field, delta);
+      logwire::encode_remove_to(dst, key, version, ts_field, delta);
       note_data_record(ts, need, need, false);
       publish(need);
       return;
@@ -309,16 +299,16 @@ class LogShard {
         }
         size_t sz_rest =
             op.updates != nullptr
-                ? logwire::put_record_size_v2(op.key, plans + rm.plan_off,
-                                              ncols, op.version, uint64_t{0})
-                : logwire::remove_record_size_v2(op.key, op.version,
-                                                 uint64_t{0});
+                ? logwire::put_record_size(op.key, plans + rm.plan_off,
+                                           ncols, op.version, uint64_t{0})
+                : logwire::remove_record_size(op.key, op.version,
+                                              uint64_t{0});
         size_t sz_abs =
             op.updates != nullptr
-                ? logwire::put_record_size_v2(op.key, plans + rm.plan_off,
-                                              ncols, op.version, ~uint64_t{0})
-                : logwire::remove_record_size_v2(op.key, op.version,
-                                                 ~uint64_t{0});
+                ? logwire::put_record_size(op.key, plans + rm.plan_off,
+                                           ncols, op.version, ~uint64_t{0})
+                : logwire::remove_record_size(op.key, op.version,
+                                              ~uint64_t{0});
         size_t worst = nrec == 0 ? sz_abs : first_abs + total_rest + sz_rest;
         if (MT_UNLIKELY(worst > bufs_[0].cap && nrec > 0)) {
           scratch_used = scratch_before;  // record re-plans in the next chunk
@@ -364,9 +354,9 @@ class LogShard {
         const BatchOp& f = ops[i];
         size_t first_sz =
             f.updates != nullptr
-                ? logwire::put_record_size_v2(f.key, plans + recs[0].plan_off,
-                                              recs[0].ncols, f.version, ts0)
-                : logwire::remove_record_size_v2(f.key, f.version, ts0);
+                ? logwire::put_record_size(f.key, plans + recs[0].plan_off,
+                                           recs[0].ncols, f.version, ts0)
+                : logwire::remove_record_size(f.key, f.version, ts0);
         size_t total = first_sz + total_rest;
         char* dst = reserve(total);
         if (MT_UNLIKELY(dst == nullptr)) {
@@ -385,12 +375,12 @@ class LogShard {
           uint64_t tf = r == 0 ? ts0 : 0;
           size_t sz = r == 0 ? first_sz : recs[r].size_rest;
           if (op.updates != nullptr) {
-            logwire::encode_put_v2_to(dst + off, op.key,
-                                      plans + recs[r].plan_off, recs[r].ncols,
-                                      op.version, tf, d);
+            logwire::encode_put_to(dst + off, op.key,
+                                   plans + recs[r].plan_off, recs[r].ncols,
+                                   op.version, tf, d);
             note_data_record(ts, sz, sz + recs[r].saved, recs[r].compressed);
           } else {
-            logwire::encode_remove_v2_to(dst + off, op.key, op.version, tf, d);
+            logwire::encode_remove_to(dst + off, op.key, op.version, tf, d);
             note_data_record(ts, sz, sz, false);
           }
           off += sz;
@@ -481,9 +471,11 @@ class LogShard {
   // parked files). Never taken on the append fast path.
   std::mutex geom_mu_;
 
-  // Sever any incomplete tail left by a crash before appending: O_APPEND
-  // would otherwise land fresh records after the torn bytes, where recovery
-  // (which stops at the tear) could never see them.
+  // Sever any incomplete tail left by a crash before appending: fresh
+  // records would otherwise land after the torn bytes, where recovery
+  // (which stops at the tear) could never see them. A file with no format
+  // header at byte 0 (a crash between fallocate and the first write leaves
+  // zeros) has no valid prefix and is truncated to empty.
   void chop_torn_tail() {
     off_t size = io::lseek(fd_, 0, SEEK_END);
     if (size <= 0) {
@@ -524,13 +516,13 @@ class LogShard {
       uint64_t ts_field =
           delta ? vint::zigzag(static_cast<int64_t>(ts - prev_ts_us_)) : ts;
       size_t need =
-          logwire::put_record_size_v2(key, plans, ncols, version, ts_field);
+          logwire::put_record_size(key, plans, ncols, version, ts_field);
       if (MT_UNLIKELY(need > bufs_[0].cap)) {
         // Jumbo records are written between arena flushes and always carry
         // an absolute timestamp.
-        need = logwire::put_record_size_v2(key, plans, ncols, version, ts);
+        need = logwire::put_record_size(key, plans, ncols, version, ts);
         append_jumbo(need, [&](char* dst) {
-          logwire::encode_put_v2_to(dst, key, plans, ncols, version, ts, false);
+          logwire::encode_put_to(dst, key, plans, ncols, version, ts, false);
         });
         note_data_record(ts, need, need + saved, any_compressed);
         return;
@@ -545,8 +537,8 @@ class LogShard {
         prev_ts_valid_ = false;
         continue;
       }
-      logwire::encode_put_v2_to(dst, key, plans, ncols, version, ts_field,
-                                delta);
+      logwire::encode_put_to(dst, key, plans, ncols, version, ts_field,
+                             delta);
       note_data_record(ts, need, need + saved, any_compressed);
       publish(need);
       return;
@@ -578,7 +570,7 @@ class LogShard {
   // equal values prove no append was in flight across the round, so no
   // record with a timestamp older than the round's start can still be
   // sitting unpublished. (The announced value no longer needs to be the
-  // exact future total — v2 record sizes depend on the timestamp itself,
+  // exact future total — record sizes depend on the timestamp itself,
   // which must be read after this announcement — any value != pub_total_
   // marks the producer busy, and begin_total_ only ever equals pub_total_
   // via publish()'s re-announcement, i.e. with nothing in flight.)
@@ -719,9 +711,6 @@ class LogShard {
   // drop leading delta records (their base was discarded) until the
   // producer's first absolute record re-anchors the chain.
   bool skip_dangling_ = false;
-  // Set when the file holds pre-v2 (headerless) content: the first write
-  // prepends a mid-file format header so old and new records coexist.
-  bool pending_midfile_header_ = false;
   std::atomic<uint64_t> begin_total_{0};  // bytes announced (pre-timestamp)
   std::atomic<uint64_t> pub_total_{0};   // cumulative bytes published
   std::atomic<uint64_t> drain_total_{0}; // cumulative bytes consumed by writer
@@ -963,7 +952,7 @@ class LogWriter {
       // The producer is gone; one more pass picks up anything it published
       // before detaching, then the completion marker seals the file.
       bytes += drain_pass(s);
-      size_t n = logwire::encode_marker_v2_to(scratch, LogType::kClose, wall_us());
+      size_t n = logwire::encode_marker_to(scratch, LogType::kClose, wall_us());
       write_all(s, scratch, n);
       bytes += n;
       if (s.error() == 0) {
@@ -1001,8 +990,8 @@ class LogWriter {
       // (plus explicit syncs): a busy sibling shard kicking this writer
       // many times a second must not make every idle shard grow a marker
       // per round.
-      size_t n = logwire::encode_marker_v2_to(scratch, LogType::kMarker,
-                                              t0 == 0 ? 0 : t0 - 1);
+      size_t n = logwire::encode_marker_to(scratch, LogType::kMarker,
+                                           t0 == 0 ? 0 : t0 - 1);
       write_all(s, scratch, n);
       bytes += n;
     }
@@ -1144,7 +1133,7 @@ class LogWriter {
   }
 
   // Advance b.drained past records whose delta base a truncate discarded.
-  // Arena content is producer-encoded v2 data records at record-aligned
+  // Arena content is producer-encoded data records at record-aligned
   // offsets, so the cheap frame walk below cannot misparse; if it somehow
   // fails anyway we stop skipping and let recovery's CRC checks rule.
   void skip_dangling_records(LogShard& s, LogShard::Buf& b, size_t take) {
@@ -1208,12 +1197,12 @@ class LogWriter {
     if (s.error() != 0) {
       return;
     }
-    // Every v2 stream opens with a format header: at byte 0 of a fresh (or
-    // truncated) file, and mid-file before the first append to an adopted
-    // pre-v2 file (whose existing records keep decoding as v1).
+    // Every stream opens with a format header at byte 0 of a fresh (or
+    // truncated) file. A non-empty file already starts with one: tail
+    // repair truncates a headerless file to zero bytes.
     char hdr[logwire::kHeaderSize];
     struct iovec hiov[4];
-    if (MT_UNLIKELY(s.write_off_ == 0 || s.pending_midfile_header_)) {
+    if (MT_UNLIKELY(s.write_off_ == 0)) {
       logwire::encode_header_to(hdr);
       hiov[0].iov_base = hdr;
       hiov[0].iov_len = logwire::kHeaderSize;
@@ -1222,7 +1211,6 @@ class LogWriter {
       }
       iov = hiov;
       ++niov;
-      s.pending_midfile_header_ = false;
     }
     size_t total = 0;
     for (int i = 0; i < niov; ++i) {
@@ -1281,7 +1269,6 @@ class LogWriter {
         s->write_off_ = 0;
         s->prealloc_end_ = 0;
         s->unsynced_bytes_ = 0;
-        s->pending_midfile_header_ = false;
       }
       // The discarded bytes may include the producer's delta base. Tell it
       // to re-anchor (any append ordered after truncate_all's return sees
@@ -1401,12 +1388,7 @@ class Logger {
 
   Logger(const std::string& path, Options opt)
       : writer_(LogWriter::Options{opt.flush_interval_ms, opt.fsync_on_flush}),
-        // Tail repair on: reusing a path a crashed run left behind must chop
-        // its torn/preallocated-zero tail, or every new record (and the
-        // eventual kClose) would land beyond a gap recovery can never read
-        // past.
-        shard_(path, opt.buffer_bytes, 0, &counters_, /*repair_existing_tail=*/true,
-               opt.compress_threshold) {
+        shard_(path, opt.buffer_bytes, 0, &counters_, opt.compress_threshold) {
     writer_.add_shard(&shard_);
     writer_.start();
   }

@@ -4,13 +4,17 @@
 //  version numbers are written into the log along with the operation, and
 //  each log record is timestamped."
 //
-// == Format v2 (current) ==
+// == Format ==
 //
-// A v2 stream begins with a 5-byte file header and may contain further
-// headers at record boundaries (a v1 file adopted by a newer build gets a
-// mid-file header before the first v2 append):
+// A stream begins with a 5-byte file header and may contain further
+// headers at record boundaries (recovery's seal writes one before its
+// kClose marker, and a reused file keeps appending after it):
 //
 //   "MTLG" u8 format_version            (2 = this format)
+//
+// A stream that does not start with the header (for instance a
+// preallocated, zero-filled file whose first write never landed) has no
+// valid records.
 //
 // Each record is varint-framed (LEB128, canonical — overlong encodings
 // are rejected):
@@ -43,25 +47,14 @@
 //
 // Readers stop at a short or corrupt record: everything after a torn tail
 // is discarded, which is exactly the semantics group commit needs.  A
-// header with an *unknown* version is different from corruption — the
+// header with any version other than 2 is different from corruption — the
 // file's contents are presumptively valid but unreadable, so decoding
 // fail-stops (throws) instead of silently truncating to the last point
 // this build understands.
 //
-// == Format v1 (legacy, read-only) ==
-//
-// Headerless; fixed little-endian framing:
-//   u32 payload_len | (u8 type, u64 ts, u64 version, u32 klen, key,
-//   [u16 ncols, (u16 col, u32 len, bytes)*]) | u32 crc32c(payload)
-// A stream that does not start with the "MTLG" magic is decoded as v1
-// until a mid-stream header switches it.  v1 encoders survive below
-// (suffixed _v1) for fixtures and the v2-vs-v1 oracle tests; new files
-// are always v2.
-//
-// Version policy: bumping the format requires a new header version byte;
-// old readers fail-stop on it, new readers must keep decoding every
-// shipped version.  The CRC is CRC-32C (hardware-accelerated; see
-// util/crc32.h).
+// Version policy: changing the format requires a new header version byte;
+// readers fail-stop on a version they do not know.  The CRC is CRC-32C
+// (hardware-accelerated; see util/crc32.h).
 //
 // The encoders come in two shapes: exact-size calculators plus in-place
 // `encode_*_to(char*)` writers for the wait-free per-worker log buffers
@@ -135,15 +128,15 @@ inline void encode_header(std::string* out) {
   out->append(h, kHeaderSize);
 }
 
-// -- v2 wire constants --------------------------------------------------
+// -- Wire constants ------------------------------------------------------
 
 // Wire tag for a single-column put (decodes back to LogType::kPut).
 inline constexpr uint8_t kTagPutSingle = 5;
 inline constexpr uint8_t kFlagDeltaTs = 0x10;
 inline constexpr uint8_t kFlagHasVersion = 0x20;
 
-inline constexpr size_t kMinPayloadV2 = 2;          // tag + 1-byte ts
-inline constexpr size_t kMaxPayloadV2 = 1u << 30;   // sanity cap
+inline constexpr size_t kMinPayload = 2;            // tag + 1-byte ts
+inline constexpr size_t kMaxPayload = 1u << 30;     // sanity cap
 inline constexpr size_t kMaxColumnRaw = 1u << 28;   // cap decompressed size
 
 // One column of a planned put record.  `data` points at the bytes to be
@@ -195,32 +188,32 @@ inline size_t remove_payload_size(std::string_view key, uint64_t version,
 // timestamp varint will actually carry: the absolute microsecond stamp,
 // or vint::zigzag(ts - prev_ts) when encoding a delta — varint width
 // depends on it.
-inline size_t put_record_size_v2(std::string_view key, const ColPlan* cols,
-                                 size_t ncols, uint64_t version,
-                                 uint64_t ts_field) {
+inline size_t put_record_size(std::string_view key, const ColPlan* cols,
+                              size_t ncols, uint64_t version,
+                              uint64_t ts_field) {
   size_t payload =
       detail::put_payload_size(key, cols, ncols, version, ts_field);
   return vint::size(payload) + payload + sizeof(uint32_t);
 }
 
-inline size_t remove_record_size_v2(std::string_view key, uint64_t version,
-                                    uint64_t ts_field) {
+inline size_t remove_record_size(std::string_view key, uint64_t version,
+                                 uint64_t ts_field) {
   size_t payload = detail::remove_payload_size(key, version, ts_field);
   return vint::size(payload) + payload + sizeof(uint32_t);
 }
 
-inline size_t marker_record_size_v2(uint64_t timestamp_us) {
+inline size_t marker_record_size(uint64_t timestamp_us) {
   size_t payload = 1 + vint::size(timestamp_us);
   return vint::size(payload) + payload + sizeof(uint32_t);
 }
 
-// In-place v2 encoders.  `dst` must have room for the matching
-// *_record_size_v2 (computed with the same ts_field).  Return bytes
+// In-place encoders.  `dst` must have room for the matching
+// *_record_size (computed with the same ts_field).  Return bytes
 // written.  `delta` says whether ts_field is a zigzag delta.
-inline size_t encode_put_v2_to(char* dst, std::string_view key,
-                               const ColPlan* cols, size_t ncols,
-                               uint64_t version, uint64_t ts_field,
-                               bool delta) {
+inline size_t encode_put_to(char* dst, std::string_view key,
+                            const ColPlan* cols, size_t ncols,
+                            uint64_t version, uint64_t ts_field,
+                            bool delta) {
   size_t payload =
       detail::put_payload_size(key, cols, ncols, version, ts_field);
   char* p = vint::put(dst, payload);
@@ -251,9 +244,9 @@ inline size_t encode_put_v2_to(char* dst, std::string_view key,
   return static_cast<size_t>(p - dst);
 }
 
-inline size_t encode_remove_v2_to(char* dst, std::string_view key,
-                                  uint64_t version, uint64_t ts_field,
-                                  bool delta) {
+inline size_t encode_remove_to(char* dst, std::string_view key,
+                               uint64_t version, uint64_t ts_field,
+                               bool delta) {
   size_t payload = detail::remove_payload_size(key, version, ts_field);
   char* p = vint::put(dst, payload);
   char* payload_start = p;
@@ -276,8 +269,8 @@ inline size_t encode_remove_v2_to(char* dst, std::string_view key,
 // participate in delta chains: the log writer stamps them directly into
 // the file between arena flushes, so they can land between two records
 // whose delta link must survive them.
-inline size_t encode_marker_v2_to(char* dst, LogType type,
-                                  uint64_t timestamp_us) {
+inline size_t encode_marker_to(char* dst, LogType type,
+                               uint64_t timestamp_us) {
   size_t payload = 1 + vint::size(timestamp_us);
   char* p = vint::put(dst, payload);
   char* payload_start = p;
@@ -291,9 +284,9 @@ inline size_t encode_marker_v2_to(char* dst, LogType type,
 
 // -- String-appending wrappers (recovery tooling, tests) ----------------
 //
-// These write v2 with absolute timestamps and no compression, and
+// These write records with absolute timestamps and no compression, and
 // prepend a format header when `out` is empty so the result is a valid
-// standalone v2 stream.
+// standalone stream.
 
 inline void encode_put(std::string* out, std::string_view key,
                        const std::vector<ColumnUpdate>& updates,
@@ -308,140 +301,46 @@ inline void encode_put(std::string* out, std::string_view key,
     plans[i].compressed = false;
   }
   size_t old = out->size();
-  out->resize(old + put_record_size_v2(key, plans.data(), plans.size(),
-                                       version, timestamp_us));
-  encode_put_v2_to(out->data() + old, key, plans.data(), plans.size(),
-                   version, timestamp_us, /*delta=*/false);
+  out->resize(old + put_record_size(key, plans.data(), plans.size(),
+                                    version, timestamp_us));
+  encode_put_to(out->data() + old, key, plans.data(), plans.size(),
+                version, timestamp_us, /*delta=*/false);
 }
 
 inline void encode_remove(std::string* out, std::string_view key,
                           uint64_t version, uint64_t timestamp_us) {
   if (out->empty()) encode_header(out);
   size_t old = out->size();
-  out->resize(old + remove_record_size_v2(key, version, timestamp_us));
-  encode_remove_v2_to(out->data() + old, key, version, timestamp_us,
-                      /*delta=*/false);
+  out->resize(old + remove_record_size(key, version, timestamp_us));
+  encode_remove_to(out->data() + old, key, version, timestamp_us,
+                   /*delta=*/false);
 }
 
 inline void encode_marker(std::string* out, uint64_t timestamp_us) {
   if (out->empty()) encode_header(out);
   size_t old = out->size();
-  out->resize(old + marker_record_size_v2(timestamp_us));
-  encode_marker_v2_to(out->data() + old, LogType::kMarker, timestamp_us);
+  out->resize(old + marker_record_size(timestamp_us));
+  encode_marker_to(out->data() + old, LogType::kMarker, timestamp_us);
 }
 
 inline void encode_close(std::string* out, uint64_t timestamp_us) {
   if (out->empty()) encode_header(out);
   size_t old = out->size();
-  out->resize(old + marker_record_size_v2(timestamp_us));
-  encode_marker_v2_to(out->data() + old, LogType::kClose, timestamp_us);
+  out->resize(old + marker_record_size(timestamp_us));
+  encode_marker_to(out->data() + old, LogType::kClose, timestamp_us);
 }
 
-// -- v1 encoders (legacy; fixtures and oracle tests only) ---------------
-
-// Fixed per-record v1 framing: u32 len + u8 type + u64 ts + u64 version +
-// u32 key_len ... + u32 crc.
-inline constexpr size_t kRecordOverheadV1 = 4 + 1 + 8 + 8 + 4 + 4;
-inline constexpr size_t kMinPayloadV1 = 21;  // type + ts + version + key_len
-
-inline size_t put_record_size_v1(std::string_view key,
-                                 const std::vector<ColumnUpdate>& updates) {
-  size_t n = kRecordOverheadV1 + key.size() + 2;
-  for (const auto& u : updates) {
-    n += 2 + 4 + u.data.size();
-  }
-  return n;
-}
-
-inline size_t remove_record_size_v1(std::string_view key) {
-  return kRecordOverheadV1 + key.size();
-}
-
-inline constexpr size_t marker_record_size_v1() { return kRecordOverheadV1; }
-
-namespace detail {
-
-struct RawWriterV1 {
-  char* p;
-  char* payload_start;
-
-  template <typename T>
-  void raw(T v) {
-    std::memcpy(p, &v, sizeof(T));
-    p += sizeof(T);
-  }
-  void bytes(std::string_view s) {
-    std::memcpy(p, s.data(), s.size());
-    p += s.size();
-  }
-  void begin(LogType type, uint64_t timestamp_us, uint64_t version) {
-    raw<uint32_t>(0);  // patched in finish()
-    payload_start = p;
-    raw<uint8_t>(static_cast<uint8_t>(type));
-    raw<uint64_t>(timestamp_us);
-    raw<uint64_t>(version);
-  }
-  // Returns the total record size (framing included).
-  size_t finish() {
-    uint32_t len = static_cast<uint32_t>(p - payload_start);
-    std::memcpy(payload_start - sizeof(uint32_t), &len, sizeof(uint32_t));
-    raw<uint32_t>(crc32(static_cast<const void*>(payload_start), len));
-    return static_cast<size_t>(p - payload_start) + sizeof(uint32_t);
-  }
-};
-
-}  // namespace detail
-
-inline void encode_put_v1(std::string* out, std::string_view key,
-                          const std::vector<ColumnUpdate>& updates,
-                          uint64_t version, uint64_t timestamp_us) {
-  size_t old = out->size();
-  out->resize(old + put_record_size_v1(key, updates));
-  detail::RawWriterV1 w{out->data() + old, nullptr};
-  w.begin(LogType::kPut, timestamp_us, version);
-  w.raw<uint32_t>(static_cast<uint32_t>(key.size()));
-  w.bytes(key);
-  w.raw<uint16_t>(static_cast<uint16_t>(updates.size()));
-  for (const auto& u : updates) {
-    w.raw<uint16_t>(static_cast<uint16_t>(u.col));
-    w.raw<uint32_t>(static_cast<uint32_t>(u.data.size()));
-    w.bytes(u.data);
-  }
-  w.finish();
-}
-
-inline void encode_remove_v1(std::string* out, std::string_view key,
-                             uint64_t version, uint64_t timestamp_us) {
-  size_t old = out->size();
-  out->resize(old + remove_record_size_v1(key));
-  detail::RawWriterV1 w{out->data() + old, nullptr};
-  w.begin(LogType::kRemove, timestamp_us, version);
-  w.raw<uint32_t>(static_cast<uint32_t>(key.size()));
-  w.bytes(key);
-  w.finish();
-}
-
-inline void encode_marker_v1(std::string* out, LogType type,
-                             uint64_t timestamp_us) {
-  size_t old = out->size();
-  out->resize(old + marker_record_size_v1());
-  detail::RawWriterV1 w{out->data() + old, nullptr};
-  w.begin(type, timestamp_us, 0);
-  w.raw<uint32_t>(0);  // key length
-  w.finish();
-}
-
-// -- Decoding (v1 + v2, mid-stream format switches) ---------------------
+// -- Decoding ------------------------------------------------------------
 
 namespace detail {
 
 // Header probe at a record boundary.  Returns:
 //   0  no header here (parse as a record)
-//   1  header consumed, *fmt updated, pos advanced
+//   1  header consumed, pos advanced
 //   2  torn header prefix — stop cleanly at pos
-// Throws on an unknown format version: that file is valid but
-// unreadable, and truncating it would silently destroy committed data.
-inline int probe_header(std::string_view buf, size_t* pos, uint8_t* fmt) {
+// Throws on any version but kFormatV2: that file is presumptively valid
+// but unreadable, and truncating it would silently destroy committed data.
+inline int probe_header(std::string_view buf, size_t* pos) {
   size_t rem = buf.size() - *pos;
   size_t cmp = rem < 4 ? rem : 4;
   if (cmp == 0 || std::memcmp(buf.data() + *pos, kLogMagic, cmp) != 0) {
@@ -449,29 +348,28 @@ inline int probe_header(std::string_view buf, size_t* pos, uint8_t* fmt) {
   }
   if (rem < kHeaderSize) return 2;  // torn header
   uint8_t ver = static_cast<uint8_t>(buf[*pos + 4]);
-  if (ver != 1 && ver != kFormatV2) {
+  if (ver != kFormatV2) {
     throw std::runtime_error(
         "log: unsupported format version " + std::to_string(ver) +
-        " (this build reads v1-v2); refusing to truncate");
+        " (this build reads version 2); refusing to truncate");
   }
-  *fmt = ver;
   *pos += kHeaderSize;
   return 1;
 }
 
-struct V2Frame {
+struct Frame {
   size_t payload_off;
   size_t payload_len;
   size_t end;  // one past the crc
 };
 
-// Validate the v2 frame (length varint, bounds, crc) at `pos`.
+// Validate the frame (length varint, bounds, crc) at `pos`.
 // Returns false on a torn or corrupt frame (stop at pos).
-inline bool check_frame_v2(std::string_view buf, size_t pos, V2Frame* f) {
+inline bool check_frame(std::string_view buf, size_t pos, Frame* f) {
   const char* base = buf.data();
   uint64_t len;
   const char* q = vint::get(base + pos, base + buf.size(), &len);
-  if (!q || len < kMinPayloadV2 || len > kMaxPayloadV2) return false;
+  if (!q || len < kMinPayload || len > kMaxPayload) return false;
   size_t payload_off = static_cast<size_t>(q - base);
   if (buf.size() - payload_off < len + sizeof(uint32_t)) return false;
   uint32_t want_crc;
@@ -508,49 +406,27 @@ inline bool tag_ok(uint8_t tag) {
 // be a pointless allocation spike.  Throws on an unknown header version.
 inline size_t valid_prefix_bytes(std::string_view buf) {
   size_t pos = 0;
-  uint8_t fmt = 1;
+  if (detail::probe_header(buf, &pos) != 1) return 0;  // headerless: nothing
   for (;;) {
     if (pos == buf.size()) return pos;
-    int h = detail::probe_header(buf, &pos, &fmt);
+    int h = detail::probe_header(buf, &pos);
     if (h == 2) return pos;
     if (h == 1) continue;
-    if (fmt == 1) {
-      if (buf.size() - pos < sizeof(uint32_t)) return pos;
-      uint32_t len;
-      std::memcpy(&len, buf.data() + pos, sizeof(uint32_t));
-      size_t payload = pos + sizeof(uint32_t);
-      if (len < kMinPayloadV1 ||
-          buf.size() - payload < len + sizeof(uint32_t)) {
-        return pos;
-      }
-      uint32_t want_crc;
-      std::memcpy(&want_crc, buf.data() + payload + len, sizeof(uint32_t));
-      if (crc32(buf.data() + payload, static_cast<size_t>(len)) != want_crc) {
-        return pos;
-      }
-      uint8_t type = static_cast<uint8_t>(buf[payload]);
-      if (type < static_cast<uint8_t>(LogType::kPut) ||
-          type > static_cast<uint8_t>(LogType::kClose)) {
-        return pos;
-      }
-      pos = payload + len + sizeof(uint32_t);
-    } else {
-      detail::V2Frame f;
-      if (!detail::check_frame_v2(buf, pos, &f)) return pos;
-      if (!detail::tag_ok(static_cast<uint8_t>(buf[f.payload_off]))) {
-        return pos;
-      }
-      pos = f.end;
+    detail::Frame f;
+    if (!detail::check_frame(buf, pos, &f) ||
+        !detail::tag_ok(static_cast<uint8_t>(buf[f.payload_off]))) {
+      return pos;
     }
+    pos = f.end;
   }
 }
 
 namespace detail {
 
-// Decode the v2 record whose frame was already validated.  Returns false
+// Decode the record whose frame was already validated.  Returns false
 // on a malformed payload (decoder stops at the record start).  Updates
 // the delta base via *prev_ts / *have_prev.
-inline bool decode_record_v2(std::string_view buf, const V2Frame& f,
+inline bool decode_record(std::string_view buf, const Frame& f,
                              LogEntry* e, uint64_t* prev_ts,
                              bool* have_prev) {
   const char* p = buf.data() + f.payload_off;
@@ -637,96 +513,26 @@ inline bool decode_record_v2(std::string_view buf, const V2Frame& f,
 // Throws on an unknown format-header version (fail-stop, never truncate).
 inline size_t decode_all(std::string_view buf, std::vector<LogEntry>* out) {
   size_t pos = 0;
-  uint8_t fmt = 1;
+  if (detail::probe_header(buf, &pos) != 1) return 0;  // headerless: nothing
   uint64_t prev_ts = 0;
   bool have_prev = false;
-  auto read_raw = [&buf](size_t at, auto* v) {
-    std::memcpy(v, buf.data() + at, sizeof(*v));
-  };
   for (;;) {
     if (pos == buf.size()) return pos;
-    int h = detail::probe_header(buf, &pos, &fmt);
+    int h = detail::probe_header(buf, &pos);
     if (h == 2) return pos;
     if (h == 1) {
       have_prev = false;  // a header resets the delta base
       continue;
     }
-    if (fmt == 1) {
-      if (buf.size() - pos < sizeof(uint32_t)) {
-        return pos;
-      }
-      uint32_t len;
-      read_raw(pos, &len);
-      size_t payload = pos + sizeof(uint32_t);
-      if (len < kMinPayloadV1 ||
-          buf.size() - payload < len + sizeof(uint32_t)) {
-        return pos;  // torn tail
-      }
-      uint32_t want_crc;
-      read_raw(payload + len, &want_crc);
-      if (crc32(buf.data() + payload, static_cast<size_t>(len)) != want_crc) {
-        return pos;  // corrupt record: discard it and everything after
-      }
-      size_t p = payload;
-      LogEntry e;
-      uint8_t type;
-      read_raw(p, &type);
-      p += 1;
-      if (type < static_cast<uint8_t>(LogType::kPut) ||
-          type > static_cast<uint8_t>(LogType::kClose)) {
-        return pos;
-      }
-      e.type = static_cast<LogType>(type);
-      read_raw(p, &e.timestamp_us);
-      p += 8;
-      read_raw(p, &e.version);
-      p += 8;
-      uint32_t klen;
-      read_raw(p, &klen);
-      p += 4;
-      if (p + klen > payload + len) {
-        return pos;
-      }
-      e.key.assign(buf.data() + p, klen);
-      p += klen;
-      if (e.type == LogType::kPut) {
-        if (p + 2 > payload + len) {
-          return pos;
-        }
-        uint16_t ncols;
-        read_raw(p, &ncols);
-        p += 2;
-        for (uint16_t i = 0; i < ncols; ++i) {
-          if (p + 6 > payload + len) {
-            return pos;
-          }
-          uint16_t col;
-          uint32_t clen;
-          read_raw(p, &col);
-          p += 2;
-          read_raw(p, &clen);
-          p += 4;
-          if (p + clen > payload + len) {
-            return pos;
-          }
-          e.columns.emplace_back(col, std::string(buf.data() + p, clen));
-          p += clen;
-        }
-      }
-      pos = payload + len + sizeof(uint32_t);
-      e.wire_end = pos;
-      out->push_back(std::move(e));
-    } else {
-      detail::V2Frame f;
-      if (!detail::check_frame_v2(buf, pos, &f)) return pos;
-      LogEntry e;
-      if (!detail::decode_record_v2(buf, f, &e, &prev_ts, &have_prev)) {
-        return pos;
-      }
-      pos = f.end;
-      e.wire_end = pos;
-      out->push_back(std::move(e));
+    detail::Frame f;
+    if (!detail::check_frame(buf, pos, &f)) return pos;
+    LogEntry e;
+    if (!detail::decode_record(buf, f, &e, &prev_ts, &have_prev)) {
+      return pos;
     }
+    pos = f.end;
+    e.wire_end = pos;
+    out->push_back(std::move(e));
   }
 }
 

@@ -129,7 +129,7 @@ inline void seal_recovered_log(const std::string& path, const LogFileData& lf,
       beyond_cutoff = true;
       break;
     }
-    // Variable-length v2 framing (varints, timestamp deltas, compression)
+    // Variable-length framing (varints, timestamp deltas, compression)
     // makes wire sizes irreproducible from decoded fields, so the decoder
     // records each record's end offset. Truncating at a record boundary
     // keeps every surviving delta chain self-contained: deltas only ever
@@ -144,10 +144,9 @@ inline void seal_recovered_log(const std::string& path, const LogFileData& lf,
     return;
   }
   if (io::ftruncate(fd, static_cast<off_t>(keep)) == 0) {
-    // A fresh format header before the kClose keeps the seal readable no
-    // matter what format the kept prefix ends in (v1 files get their
-    // mid-file upgrade here; in a v2 stream a repeated header is a no-op
-    // boundary marker).
+    // A fresh format header before the kClose keeps the seal readable when
+    // nothing was kept (an empty or headerless file); after a kept prefix
+    // a repeated header is a no-op boundary marker.
     std::string tail;
     logwire::encode_header(&tail);
     logwire::encode_close(&tail, wall_us());

@@ -31,7 +31,7 @@ enum class Counter : unsigned {
   kMultigetRetry,          // retry events eaten by multiget cursors
   kScanNodes,              // border-node snapshots taken by scan cursors (§3)
   kScanRetries,            // scan snapshot re-validations (version changed mid-copy)
-  kScanRedescents,         // scan re-located a border via reach_border (deleted
+  kScanRedescents,         // scan re-located its border by a descent (deleted
                            //   node, dead layer, or a detached cursor re-attaching)
   kScanAllocs,             // scan-cursor buffer growth events; zero on the
                            //   steady-state chain-walk path (the perf claim)
@@ -45,7 +45,7 @@ enum class Counter : unsigned {
   kLogFlushBytes,          // bytes group-committed by logging threads
   kLogBytesLogical,        // data-record bytes as if every column were
                            //   stored raw (physical + compression savings)
-  kLogBytesPhysical,       // data-record bytes actually encoded (varint v2
+  kLogBytesPhysical,       // data-record bytes actually encoded (varint
                            //   framing, post-compression); physical/logical
                            //   is the observable compression ratio, and
                            //   physical/appends is log_bytes_per_op

@@ -71,7 +71,7 @@ struct IoErrorDetail {
 
 struct SyscallRecord {
   const char* name = "";
-  std::string path;  // open/rename only
+  std::string path;  // open/rename/unlink only
   int fd = -1;
   uint64_t offset = 0;
   uint64_t bytes = 0;
@@ -257,6 +257,15 @@ class FaultPlan {
       return r == kFail ? -1 : 0;  // a suppressed rename never commits
     }
     return ::rename(from, to);
+  }
+
+  int xunlink(const char* path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    note("unlink", path, -1, 0, 0);
+    if (int r = gate("unlink", /*mutating=*/true); r != kProceed) {
+      return r == kFail ? -1 : 0;  // a suppressed unlink leaves the file
+    }
+    return ::unlink(path);
   }
 
   off_t xlseek(int fd, off_t off, int whence) {
@@ -515,6 +524,14 @@ inline int rename(const char* from, const char* to) {
     return ::rename(from, to);
   }
   return p->xrename(from, to);
+}
+
+inline int unlink(const char* path) {
+  FaultPlan* p = armed_plan();
+  if (MT_LIKELY(p == nullptr)) {
+    return ::unlink(path);
+  }
+  return p->xunlink(path);
 }
 
 inline off_t lseek(int fd, off_t off, int whence) {

@@ -1,4 +1,4 @@
-// LEB128 varints + zigzag, shared by the v2 log and checkpoint framing.
+// LEB128 varints + zigzag, shared by the log and checkpoint framing.
 //
 // Encoding is canonical: the decoder rejects overlong (non-minimal)
 // encodings and anything that overflows 64 bits, so every value has

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -99,7 +100,7 @@ void expect_store_matches(Store& store, const RowOracle& oracle) {
 
 TEST(CheckpointFormat, PartFileRoundTripsBinaryRecords) {
   TempDir dir("format");
-  std::string path = checkpoint_part_path(dir.str(), 0);
+  std::string path = checkpoint_part_path(dir.str(), 1, 0);
   {
     CheckpointPartWriter out(path);
     ASSERT_TRUE(out.ok());
@@ -124,7 +125,7 @@ TEST(CheckpointFormat, PartFileRoundTripsBinaryRecords) {
 
 TEST(CheckpointFormat, CompressibleColumnsShrinkPartFile) {
   TempDir dir("compress");
-  std::string path = checkpoint_part_path(dir.str(), 0);
+  std::string path = checkpoint_part_path(dir.str(), 1, 0);
   std::string big;
   for (int i = 0; i < 500; ++i) {
     big += "row-payload-" + std::to_string(i % 9);
@@ -151,44 +152,9 @@ TEST(CheckpointFormat, CompressibleColumnsShrinkPartFile) {
   EXPECT_EQ(records[2].cols[0], "tiny");
 }
 
-// Headerless part files from a pre-v2 build must still restore. The bytes
-// are hand-built to the old fixed-width layout (u32 klen | key | u64
-// row_version | u16 ncols | (u32 len | bytes)* | u32 crc32(record)).
-TEST(CheckpointFormat, LegacyV1PartStillReads) {
-  TempDir dir("legacy");
-  std::string path = checkpoint_part_path(dir.str(), 0);
-  std::string data;
-  auto raw = [&data](const auto& v) {
-    data.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto add_v1 = [&](const std::string& key, uint64_t rv,
-                    const std::vector<std::string>& cols) {
-    size_t start = data.size();
-    raw(static_cast<uint32_t>(key.size()));
-    data += key;
-    raw(rv);
-    raw(static_cast<uint16_t>(cols.size()));
-    for (const auto& c : cols) {
-      raw(static_cast<uint32_t>(c.size()));
-      data += c;
-    }
-    raw(crc32(data.data() + start, data.size() - start));
-  };
-  add_v1("old-key", 5, {"colA", std::string(200, 'z')});
-  add_v1("old-key2", 6, {});
-  std::ofstream(path, std::ios::binary) << data;
-  auto records = read_checkpoint_part(path);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].key, "old-key");
-  EXPECT_EQ(records[0].row_version, 5u);
-  ASSERT_EQ(records[0].cols.size(), 2u);
-  EXPECT_EQ(records[0].cols[1], std::string(200, 'z'));
-  EXPECT_EQ(records[1].key, "old-key2");
-}
-
 TEST(CheckpointFormat, UnknownPartVersionThrows) {
   TempDir dir("future");
-  std::string path = checkpoint_part_path(dir.str(), 0);
+  std::string path = checkpoint_part_path(dir.str(), 1, 0);
   {
     CheckpointPartWriter out(path);
     out.add("k", 1, {"v"});
@@ -200,14 +166,18 @@ TEST(CheckpointFormat, UnknownPartVersionThrows) {
   f.close();
   EXPECT_THROW(read_checkpoint_part(path), std::runtime_error);
   // A torn header (file shorter than 5 bytes) reads as empty, not a throw.
-  std::string torn = checkpoint_part_path(dir.str(), 1);
+  std::string torn = checkpoint_part_path(dir.str(), 1, 1);
   std::ofstream(torn, std::ios::binary) << "MTCK";
   EXPECT_TRUE(read_checkpoint_part(torn).empty());
+  // So does a part with no header at all.
+  std::string headerless = checkpoint_part_path(dir.str(), 1, 2);
+  std::ofstream(headerless, std::ios::binary) << std::string(64, '\0');
+  EXPECT_TRUE(read_checkpoint_part(headerless).empty());
 }
 
 TEST(CheckpointFormat, CorruptedRecordStopsCleanly) {
   TempDir dir("corrupt");
-  std::string path = checkpoint_part_path(dir.str(), 0);
+  std::string path = checkpoint_part_path(dir.str(), 1, 0);
   {
     CheckpointPartWriter out(path);
     out.add("first", 1, {"v1"});
@@ -318,7 +288,8 @@ TEST(CheckpointRestore, TruncatedPartLoadsIntactPrefixOnly) {
     ASSERT_TRUE(store.checkpoint(ckpt.str(), 2));
   }
   // Tear part 0 mid-record, as a crashed disk would.
-  std::string part0 = checkpoint_part_path(ckpt.str(), 0);
+  std::string part0 =
+      checkpoint_part_path(ckpt.str(), read_manifest(ckpt.str()).start_ts_us, 0);
   auto size = fs::file_size(part0);
   ASSERT_GT(size, 100u);
   fs::resize_file(part0, size / 2 + 3);
@@ -348,6 +319,68 @@ TEST(CheckpointRestore, TruncatedPartLoadsIntactPrefixOnly) {
       s);
   EXPECT_EQ(seen, res.checkpoint_records);
   EXPECT_TRUE(ts::rep_ok(restored.tree()));
+}
+
+// A committed MANIFEST's parts are never removed, so one that is missing
+// (damage, or a directory in another layout) fails recovery loudly instead
+// of restoring an empty store.
+TEST(CheckpointRestore, MissingNamedPartThrows) {
+  TempDir ckpt("missing-part");
+  RowOracle oracle;
+  {
+    Store store;
+    Store::Session s(store, 0);
+    fill_store(store, s, &oracle, 500, /*salt=*/6);
+    ASSERT_TRUE(store.checkpoint(ckpt.str(), 2));
+  }
+  CheckpointManifest m = read_manifest(ckpt.str());
+  ASSERT_TRUE(m.valid);
+  ASSERT_TRUE(fs::remove(checkpoint_part_path(ckpt.str(), m.start_ts_us, 1)));
+  Store restored;
+  EXPECT_THROW(restored.recover(ckpt.str(), "", 2), std::runtime_error);
+}
+
+// A second checkpoint into the same directory writes new part files and
+// unlinks the old ones (and an interrupted checkpoint's leftovers) only
+// after its MANIFEST commits.
+TEST(CheckpointRestore, RecheckpointReplacesPartsAfterCommit) {
+  TempDir ckpt("recheckpoint");
+  RowOracle oracle;
+  Store store;
+  Store::Session s(store, 0);
+  fill_store(store, s, &oracle, 1000, /*salt=*/7);
+  ASSERT_TRUE(store.checkpoint(ckpt.str(), 2));
+  CheckpointManifest first = read_manifest(ckpt.str());
+  ASSERT_TRUE(first.valid);
+  std::string orphan = checkpoint_part_path(ckpt.str(), 1, 0);
+  std::ofstream(orphan, std::ios::binary) << "interrupted";
+  store.put("after-first", {{0, "x"}}, s);
+  oracle["after-first"] = {"x"};
+  // A trailing slash must not make the new parts look stale.
+  ASSERT_TRUE(store.checkpoint(ckpt.str() + "/", 3));
+  CheckpointManifest second = read_manifest(ckpt.str());
+  ASSERT_TRUE(second.valid);
+  EXPECT_NE(second.start_ts_us, first.start_ts_us);
+  std::vector<std::string> parts;
+  for (const auto& entry : fs::directory_iterator(ckpt.path())) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("part-", 0) == 0) {
+      parts.push_back(entry.path().string());
+    }
+  }
+  std::sort(parts.begin(), parts.end());
+  std::vector<std::string> want;
+  for (unsigned w = 0; w < 3; ++w) {
+    want.push_back(checkpoint_part_path(ckpt.str(), second.start_ts_us, w));
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(parts, want);
+
+  Store restored;
+  Store::RecoveryResult res = restored.recover(ckpt.str(), "", 2);
+  EXPECT_TRUE(res.used_checkpoint);
+  EXPECT_EQ(res.checkpoint_records, oracle.size());
+  expect_store_matches(restored, oracle);
 }
 
 TEST(CheckpointRestore, InterruptedCheckpointIsInvisible) {

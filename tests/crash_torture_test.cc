@@ -1,6 +1,7 @@
 // Crash-point recovery torture (§5 durability, end to end).
 //
-// A fault-free run of a logged-put + checkpoint + truncate workload is
+// A fault-free run of a logged-put + checkpoint + truncate workload (with a
+// second checkpoint + truncate into the same directory) is
 // traced through the io:: seam to enumerate its syscall boundaries. The
 // workload is then re-run once per cut point with an in-process "power
 // cut" armed: from that call on every mutating file syscall silently
@@ -18,6 +19,7 @@
 // Tier-1 runs a strided sweep; MT_TORTURE_FULL=1 (the tier-2 ASan lane)
 // sweeps every syscall boundary plus torn mid-write offsets.
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -55,7 +57,7 @@ std::string Key(int i) {
 }
 
 std::vector<Phase> MakeWorkload() {
-  Phase a, b, c;
+  Phase a, b, c, d;
   for (int i = 0; i < 20; ++i) {
     a.emplace_back(Key(i), "A" + std::to_string(i));
   }
@@ -71,7 +73,16 @@ std::vector<Phase> MakeWorkload() {
   for (int i = 10; i < 15; ++i) {
     c.emplace_back(Key(i), "C" + std::to_string(i));  // overwrite acked values
   }
-  return {a, b, c};
+  for (int i = 60; i < 66; ++i) {
+    d.emplace_back(Key(i), "D" + std::to_string(i));
+  }
+  for (int i = 40; i < 43; ++i) {
+    d.emplace_back(Key(i), std::nullopt);
+  }
+  for (int i = 20; i < 23; ++i) {
+    d.emplace_back(Key(i), "D" + std::to_string(i));
+  }
+  return {a, b, c, d};
 }
 
 // Per-key state snapshots after each phase: timeline[k][p] is key k's value
@@ -103,9 +114,10 @@ struct RunResult {
   // Phases whose end-of-phase sync_logs() returned with the cut not yet
   // fired: everything up to and including phase `acked` is durable.
   int acked_phases = 0;
-  // checkpoint() + truncate_logs() completed with the cut not yet fired:
-  // the manifest rename landed on the frozen image.
-  bool ckpt_durable = false;
+  // Phases covered by the last checkpoint whose checkpoint() +
+  // truncate_logs() completed with the cut not yet fired: its manifest
+  // rename landed on the frozen image.
+  int ckpt_phases = 0;
 };
 
 // Drives the workload against a fresh store. `plan` (may be null) is
@@ -143,16 +155,27 @@ RunResult RunWorkload(const std::string& log_dir, const std::string& ckpt_dir,
   // Checkpoint between the acked phases and the tail, then reclaim the log
   // space it covers — the §5 sequence whose crash window (manifest renamed
   // but logs truncated, or vice versa) the sweep must cross.
-  bool ck = store.checkpoint(ckpt_dir, 2);
-  if (ck) {
-    store.truncate_logs();
-  }
-  if (ck && pre_cut()) {
-    rr.ckpt_durable = true;
-  }
+  auto checkpoint = [&](int covered) {
+    bool ck = store.checkpoint(ckpt_dir, 2);
+    if (ck) {
+      store.truncate_logs();
+    }
+    if (ck && pre_cut()) {
+      rr.ckpt_phases = covered;
+    }
+  };
+  checkpoint(2);
   run_phase(phases[2]);
   if (pre_cut()) {
     rr.acked_phases = 3;
+  }
+  // Re-checkpoint into the same directory: the committed manifest's parts
+  // must stay intact until the new manifest is durable, or a cut in here
+  // loses phases A+B (their log records were truncated above).
+  checkpoint(3);
+  run_phase(phases[3]);
+  if (pre_cut()) {
+    rr.acked_phases = 4;
   }
   return rr;
 }
@@ -163,10 +186,7 @@ RunResult RunWorkload(const std::string& log_dir, const std::string& ckpt_dir,
 void CheckRecovered(const std::string& log_dir, const std::string& ckpt_dir,
                     const std::vector<Phase>& phases, const RunResult& rr,
                     const std::string& label) {
-  int floor = rr.acked_phases;
-  if (rr.ckpt_durable && floor < 2) {
-    floor = 2;  // the checkpoint snapshot covers phases A+B
-  }
+  int floor = std::max(rr.acked_phases, rr.ckpt_phases);
   Store rec;
   rec.recover(ckpt_dir, log_dir, 2);
   Store::Session s(rec, 0);
@@ -209,22 +229,24 @@ TEST(CrashTorture, TraceRunRecoversEverything) {
     io::Armed armed(&plan);
     rr = RunWorkload(log_dir, ckpt_dir, phases, &plan);
   }
-  EXPECT_EQ(rr.acked_phases, 3);
-  EXPECT_TRUE(rr.ckpt_durable);
+  EXPECT_EQ(rr.acked_phases, 4);
+  EXPECT_EQ(rr.ckpt_phases, 3);
   EXPECT_FALSE(plan.cut_fired());
   // The workload must actually exercise the whole seam: appends, syncs,
   // extent preallocation, checkpoint part writes, and the manifest commit.
   auto trace = plan.trace_log();
   ASSERT_GT(trace.size(), 20u);
-  bool saw_pwritev = false, saw_sync = false, saw_rename = false;
+  bool saw_pwritev = false, saw_sync = false, saw_rename = false, saw_unlink = false;
   for (const auto& r : trace) {
     saw_pwritev |= std::string_view(r.name) == "pwritev";
     saw_sync |= std::string_view(r.name) == "fdatasync";
     saw_rename |= std::string_view(r.name) == "rename";
+    saw_unlink |= std::string_view(r.name) == "unlink";
   }
   EXPECT_TRUE(saw_pwritev);
   EXPECT_TRUE(saw_sync);
   EXPECT_TRUE(saw_rename);
+  EXPECT_TRUE(saw_unlink);  // the re-checkpoint removed the first one's parts
   CheckRecovered(log_dir, ckpt_dir, phases, rr, "trace");
 }
 
@@ -339,8 +361,6 @@ TEST(CrashTorture, LyingFsyncNeverCorrupts) {
     // acked_phases is meaningless under a lying fsync; demand only that
     // recovery produces a coherent per-key state from the full timeline.
     RunResult sane;
-    sane.acked_phases = 0;
-    sane.ckpt_durable = false;
     CheckRecovered(log_dir, ckpt_dir, phases, sane,
                    "lie@" + std::to_string(cut));
   }
@@ -361,7 +381,7 @@ TEST(CrashTorture, EintrAndShortWritesAreHarmless) {
     io::Armed armed(&plan);
     rr = RunWorkload(log_dir, ckpt_dir, phases, &plan);
   }
-  EXPECT_EQ(rr.acked_phases, 3);
+  EXPECT_EQ(rr.acked_phases, 4);
   CheckRecovered(log_dir, ckpt_dir, phases, rr, "eintr");
 }
 

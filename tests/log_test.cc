@@ -75,8 +75,8 @@ TEST(LogRecord, MarkerAndCloseRoundTrip) {
   logwire::encode_marker(&buf, 111);
   logwire::encode_close(&buf, 222);
   EXPECT_EQ(buf.size(), logwire::kHeaderSize +
-                            logwire::marker_record_size_v2(111) +
-                            logwire::marker_record_size_v2(222));
+                            logwire::marker_record_size(111) +
+                            logwire::marker_record_size(222));
   std::vector<LogEntry> out;
   EXPECT_EQ(logwire::decode_all(buf, &out), buf.size());
   ASSERT_EQ(out.size(), 2u);
@@ -86,9 +86,8 @@ TEST(LogRecord, MarkerAndCloseRoundTrip) {
   EXPECT_EQ(out[1].timestamp_us, 222u);
 }
 
-// The single-column tag drops the ncols/per-column framing; a v2 record for
-// the bench's typical small put must be well under half the fixed 29-byte
-// v1 overhead + payload.
+// The single-column tag drops the ncols/per-column framing, keeping the
+// bench's typical small put within 31 bytes.
 TEST(LogRecord, SingleColumnPutIsCompact) {
   std::string buf;
   logwire::encode_put(&buf, "key12345", {{0, "value"}}, 3, 1700000000000000u);
@@ -98,10 +97,8 @@ TEST(LogRecord, SingleColumnPutIsCompact) {
   ASSERT_EQ(out[0].columns.size(), 1u);
   EXPECT_EQ(out[0].columns[0].second, "value");
   size_t record = buf.size() - logwire::kHeaderSize;
-  size_t v1 = logwire::put_record_size_v1("key12345", {{0, "value"}});
-  EXPECT_LT(record, v1);
   // tag(1) + ts(8) + version(1) + klen(1)+8 + col(1) + h(1) + 5 + crc(4) +
-  // frame(1) = 31 vs v1's 48.
+  // frame(1) = 31.
   EXPECT_LE(record, 31u);
 }
 
@@ -280,67 +277,110 @@ TEST(LogRecord, OverlongFrameVarintStopsDecode) {
   EXPECT_TRUE(out.empty());
 }
 
-// ---------------- v1 compatibility + format versioning ----------------
+// ---------------- stream framing + format versioning ----------------
 
-// The v1 encoders are the oracle: the same logical records written in both
-// formats must decode to identical entries (and the v2 stream must be
-// smaller, header included).
-TEST(LogRecord, V2MatchesV1Oracle) {
+// A mixed stream of multi-column puts, removes and a kClose decodes back to
+// exactly the fields it was encoded from, in order.
+TEST(LogRecord, MixedStreamRoundTripsInputFields) {
   const std::string long_col(40, 'q');  // ColumnUpdate holds a view
   std::vector<ColumnUpdate> cols = {{0, "short"}, {7, long_col}};
-  std::string v1, v2;
+  std::string buf;
   for (int i = 0; i < 20; ++i) {
     uint64_t ts = 1700000000000000u + i * 13;
-    logwire::encode_put_v1(&v1, "key" + std::to_string(i), cols, i, ts);
-    logwire::encode_put(&v2, "key" + std::to_string(i), cols, i, ts);
-    logwire::encode_remove_v1(&v1, "gone" + std::to_string(i), i + 100, ts + 1);
-    logwire::encode_remove(&v2, "gone" + std::to_string(i), i + 100, ts + 1);
+    logwire::encode_put(&buf, "key" + std::to_string(i), cols, i, ts);
+    logwire::encode_remove(&buf, "gone" + std::to_string(i), i + 100, ts + 1);
   }
-  logwire::encode_marker_v1(&v1, LogType::kClose, 5);
-  logwire::encode_close(&v2, 5);
-  std::vector<LogEntry> from_v1, from_v2;
-  ASSERT_EQ(logwire::decode_all(v1, &from_v1), v1.size());
-  ASSERT_EQ(logwire::decode_all(v2, &from_v2), v2.size());
-  ASSERT_EQ(from_v1.size(), from_v2.size());
-  for (size_t i = 0; i < from_v1.size(); ++i) {
-    EXPECT_EQ(from_v1[i].type, from_v2[i].type) << i;
-    EXPECT_EQ(from_v1[i].timestamp_us, from_v2[i].timestamp_us) << i;
-    EXPECT_EQ(from_v1[i].version, from_v2[i].version) << i;
-    EXPECT_EQ(from_v1[i].key, from_v2[i].key) << i;
-    EXPECT_EQ(from_v1[i].columns, from_v2[i].columns) << i;
-  }
-  EXPECT_LT(v2.size(), v1.size());
-}
-
-// A headerless v1 file written by an old build still decodes, and a header
-// may appear at ANY later record boundary (the mid-file upgrade an adopting
-// new build performs).
-TEST(LogRecord, MidFileUpgradeV1ThenV2) {
-  std::string buf;
-  logwire::encode_put_v1(&buf, "old1", {{0, "a"}}, 1, 10);
-  logwire::encode_put_v1(&buf, "old2", {{0, "b"}}, 2, 20);
-  logwire::encode_header(&buf);  // upgrade point
-  logwire::encode_put(&buf, "new1", {{0, "c"}}, 3, 30);
-  logwire::encode_close(&buf, 40);
+  logwire::encode_close(&buf, 5);
   std::vector<LogEntry> out;
   ASSERT_EQ(logwire::decode_all(buf, &out), buf.size());
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0].key, "old1");
-  EXPECT_EQ(out[1].key, "old2");
-  EXPECT_EQ(out[2].key, "new1");
-  EXPECT_EQ(out[3].type, LogType::kClose);
   EXPECT_EQ(logwire::valid_prefix_bytes(buf), buf.size());
+  ASSERT_EQ(out.size(), 41u);
+  const std::vector<std::pair<uint16_t, std::string>> want_cols = {
+      {0, "short"}, {7, long_col}};
+  for (int i = 0; i < 20; ++i) {
+    uint64_t ts = 1700000000000000u + i * 13;
+    const LogEntry& put = out[2 * i];
+    EXPECT_EQ(put.type, LogType::kPut) << i;
+    EXPECT_EQ(put.timestamp_us, ts) << i;
+    EXPECT_EQ(put.version, static_cast<uint64_t>(i)) << i;
+    EXPECT_EQ(put.key, "key" + std::to_string(i)) << i;
+    EXPECT_EQ(put.columns, want_cols) << i;
+    const LogEntry& rm = out[2 * i + 1];
+    EXPECT_EQ(rm.type, LogType::kRemove) << i;
+    EXPECT_EQ(rm.timestamp_us, ts + 1) << i;
+    EXPECT_EQ(rm.version, static_cast<uint64_t>(i) + 100) << i;
+    EXPECT_EQ(rm.key, "gone" + std::to_string(i)) << i;
+    EXPECT_TRUE(rm.columns.empty()) << i;
+  }
+  EXPECT_EQ(out.back().type, LogType::kClose);
+  EXPECT_EQ(out.back().timestamp_us, 5u);
+}
+
+// A stream must open with the format header. A crash after fallocate
+// extended a fresh file but before its first pwritev leaves only zeros:
+// that file holds no records, tail repair empties it, and the next append
+// starts a proper stream.
+TEST(LogRecord, HeaderlessStartHasNoRecords) {
+  const std::string zeros(4096, '\0');
+  std::vector<LogEntry> out;
+  EXPECT_EQ(logwire::valid_prefix_bytes(zeros), 0u);
+  EXPECT_EQ(logwire::decode_all(zeros, &out), 0u);
+  EXPECT_TRUE(out.empty());
+  // Well-formed records without the leading header are not a stream either.
+  std::string stripped;
+  logwire::encode_put(&stripped, "k", {{0, "v"}}, 1, 1);
+  stripped.erase(0, logwire::kHeaderSize);
+  EXPECT_EQ(logwire::valid_prefix_bytes(stripped), 0u);
+  EXPECT_EQ(logwire::decode_all(stripped, &out), 0u);
+  EXPECT_TRUE(out.empty());
+
+  std::string path = TempPath("headerless_start.bin");
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  {
+    LogShardPool pool;
+    LogWriter writer({5, true}, &pool);
+    LogShard shard(path, 4 << 10, 0, nullptr);
+    EXPECT_EQ(shard.error(), 0);
+    EXPECT_EQ(std::filesystem::file_size(path), 0u);
+    writer.add_shard(&shard);
+    writer.start();
+    shard.append_put("first", {{0, "value"}}, 1);
+    writer.sync();
+    std::string bytes = ReadFileBytes(path);
+    ASSERT_GE(bytes.size(), logwire::kHeaderSize);
+    EXPECT_EQ(bytes.substr(0, 4), "MTLG");
+    EXPECT_EQ(bytes[4], '\x02');
+    std::vector<LogEntry> got;
+    logwire::decode_all(bytes, &got);
+    size_t puts = 0;
+    for (const LogEntry& e : got) {
+      if (e.type == LogType::kPut) {  // heartbeat markers may precede it
+        ++puts;
+        EXPECT_EQ(e.key, "first");
+        ASSERT_EQ(e.columns.size(), 1u);
+        EXPECT_EQ(e.columns[0].second, "value");
+      }
+    }
+    EXPECT_EQ(puts, 1u);
+    writer.stop();
+  }
 }
 
 // An unknown future format version must fail-stop — loudly refusing to
 // read is recoverable, silently truncating committed data is not.
 TEST(LogRecord, UnknownFutureVersionThrows) {
-  std::string buf;
-  logwire::encode_put(&buf, "k", {{0, "v"}}, 1, 1);
-  buf[4] = '\x09';  // future version byte
   std::vector<LogEntry> out;
-  EXPECT_THROW(logwire::decode_all(buf, &out), std::runtime_error);
-  EXPECT_THROW(logwire::valid_prefix_bytes(buf), std::runtime_error);
+  // Version 1 is as unknown to this build as a future version.
+  for (char version : {'\x01', '\x09'}) {
+    std::string buf;
+    logwire::encode_put(&buf, "k", {{0, "v"}}, 1, 1);
+    buf[4] = version;
+    EXPECT_THROW(logwire::decode_all(buf, &out), std::runtime_error);
+    EXPECT_THROW(logwire::valid_prefix_bytes(buf), std::runtime_error);
+  }
   // Mid-file too: a valid v2 prefix followed by a future-version header.
   std::string mixed;
   logwire::encode_put(&mixed, "k", {{0, "v"}}, 1, 1);
@@ -370,9 +410,9 @@ TEST(LogRecord, CompressedColumnRoundTrip) {
   std::string buf;
   logwire::encode_header(&buf);
   size_t old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("ckey", &plan, 1, 42, 777));
-  logwire::encode_put_v2_to(buf.data() + old, "ckey", &plan, 1, 42, 777,
-                            /*delta=*/false);
+  buf.resize(old + logwire::put_record_size("ckey", &plan, 1, 42, 777));
+  logwire::encode_put_to(buf.data() + old, "ckey", &plan, 1, 42, 777,
+                         /*delta=*/false);
   std::vector<LogEntry> out;
   ASSERT_EQ(logwire::decode_all(buf, &out), buf.size());
   ASSERT_EQ(out.size(), 1u);
@@ -391,15 +431,15 @@ TEST(LogRecord, DeltaTimestampDecodes) {
   std::string buf;
   logwire::encode_header(&buf);
   size_t old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("a", &plan, 1, 1, 1000));
-  buf.resize(old + logwire::encode_put_v2_to(buf.data() + old, "a", &plan, 1,
-                                             1, 1000, /*delta=*/false));
+  buf.resize(old + logwire::put_record_size("a", &plan, 1, 1, 1000));
+  buf.resize(old + logwire::encode_put_to(buf.data() + old, "a", &plan, 1,
+                                          1, 1000, /*delta=*/false));
   // Second record 5us EARLIER, as a zigzag delta (clock skew happens).
   uint64_t zz = vint::zigzag(-5);
   old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("b", &plan, 1, 2, zz));
-  buf.resize(old + logwire::encode_put_v2_to(buf.data() + old, "b", &plan, 1,
-                                             2, zz, /*delta=*/true));
+  buf.resize(old + logwire::put_record_size("b", &plan, 1, 2, zz));
+  buf.resize(old + logwire::encode_put_to(buf.data() + old, "b", &plan, 1,
+                                          2, zz, /*delta=*/true));
   std::vector<LogEntry> out;
   ASSERT_EQ(logwire::decode_all(buf, &out), buf.size());
   ASSERT_EQ(out.size(), 2u);
@@ -419,9 +459,9 @@ TEST(LogRecord, DanglingDeltaRejected) {
   logwire::encode_header(&buf);
   uint64_t zz = vint::zigzag(7);
   size_t old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("a", &plan, 1, 1, zz));
-  buf.resize(old + logwire::encode_put_v2_to(buf.data() + old, "a", &plan, 1,
-                                             1, zz, /*delta=*/true));
+  buf.resize(old + logwire::put_record_size("a", &plan, 1, 1, zz));
+  buf.resize(old + logwire::encode_put_to(buf.data() + old, "a", &plan, 1,
+                                          1, zz, /*delta=*/true));
   std::vector<LogEntry> out;
   EXPECT_EQ(logwire::decode_all(buf, &out), logwire::kHeaderSize);
   EXPECT_TRUE(out.empty());
@@ -438,16 +478,16 @@ TEST(LogRecord, HeaderResetsDeltaBase) {
   std::string buf;
   logwire::encode_header(&buf);
   size_t old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("a", &plan, 1, 1, 1000));
-  buf.resize(old + logwire::encode_put_v2_to(buf.data() + old, "a", &plan, 1,
-                                             1, 1000, /*delta=*/false));
+  buf.resize(old + logwire::put_record_size("a", &plan, 1, 1, 1000));
+  buf.resize(old + logwire::encode_put_to(buf.data() + old, "a", &plan, 1,
+                                          1, 1000, /*delta=*/false));
   logwire::encode_header(&buf);
   size_t stop = buf.size();
   uint64_t zz = vint::zigzag(3);
   old = buf.size();
-  buf.resize(old + logwire::put_record_size_v2("b", &plan, 1, 2, zz));
-  buf.resize(old + logwire::encode_put_v2_to(buf.data() + old, "b", &plan, 1,
-                                             2, zz, /*delta=*/true));
+  buf.resize(old + logwire::put_record_size("b", &plan, 1, 2, zz));
+  buf.resize(old + logwire::encode_put_to(buf.data() + old, "b", &plan, 1,
+                                          2, zz, /*delta=*/true));
   std::vector<LogEntry> out;
   EXPECT_EQ(logwire::decode_all(buf, &out), stop);
   ASSERT_EQ(out.size(), 1u);
@@ -712,7 +752,7 @@ TEST(LogWriterStress, ConcurrentAppendSyncTruncate) {
     paths.push_back(TempPath("stress-log-" + std::to_string(t) + ".bin"));
     std::remove(paths.back().c_str());
     shards.push_back(std::make_unique<LogShard>(paths.back(), 4 << 10, 0,
-                                                &counters[t], false));
+                                                &counters[t]));
     writer.add_shard(shards.back().get());
   }
   writer.start();
@@ -812,14 +852,18 @@ TEST(LogWriterStress, TornTailRepairThenAppend) {
       std::ofstream out(torn_path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(cut));
     }
+    // Idle heartbeats (kMarker) may land anywhere once a thread sleeps past
+    // the flush interval; they carry no data, so both sides leave them out.
+    auto is_marker = [](const LogEntry& e) { return e.type == LogType::kMarker; };
     std::vector<LogEntry> prefix;
     logwire::decode_all(std::string_view(bytes.data(), cut), &prefix);
+    std::erase_if(prefix, is_marker);
     size_t old_records = prefix.size();
     {
       // Adopt with repair (what the Store does at startup), then append.
       LogShardPool pool;
       LogWriter writer({5, false}, &pool);
-      LogShard shard(torn_path, 4 << 10, 0, nullptr, /*repair_existing_tail=*/true);
+      LogShard shard(torn_path, 4 << 10, 0, nullptr);
       writer.add_shard(&shard);
       writer.start();
       shard.append_put("fresh-a", {{0, "new"}}, 9001);
@@ -827,6 +871,7 @@ TEST(LogWriterStress, TornTailRepairThenAppend) {
       writer.stop();
     }
     auto entries = read_log_file(torn_path);
+    std::erase_if(entries, is_marker);
     // Old prefix intact, then the fresh records, then kClose — nothing
     // buried behind torn bytes.
     ASSERT_EQ(entries.size(), old_records + 3) << "cut " << cut;
@@ -1022,41 +1067,6 @@ TEST(Recovery, ListLogFilesFindsStoreNames) {
   EXPECT_NE(paths[0].find("log-0.bin"), std::string::npos);
   EXPECT_NE(paths[1].find("log-12.bin"), std::string::npos);
   EXPECT_TRUE(list_log_files(TempPath("no_such_dir")).empty());
-}
-
-// A data directory can legitimately mix formats after a version upgrade:
-// untouched v1 files from the old build next to v2 files from the new one.
-// Both must feed recovery, and sealing must leave every file readable
-// (v1 files get their mid-file header upgrade from the seal).
-TEST(Recovery, MixedVersionFilesRecover) {
-  std::string p1 = TempPath("mixed_v1.bin");
-  std::string p2 = TempPath("mixed_v2.bin");
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-  std::string old_fmt;  // headerless v1, as an old build wrote it
-  logwire::encode_put_v1(&old_fmt, "v1-key", {{0, "v1-value"}}, 1, 100);
-  logwire::encode_put_v1(&old_fmt, "v1-key2", {{0, "v1-value2"}}, 2, 200);
-  std::ofstream(p1, std::ios::binary) << old_fmt;
-  std::string new_fmt;
-  logwire::encode_put(&new_fmt, "v2-key", {{0, "v2-value"}}, 3, 150);
-  std::ofstream(p2, std::ios::binary) << new_fmt;
-
-  RecoverySet rs = load_logs({p1, p2});
-  // Both live: cutoff = min(200, 150).
-  EXPECT_EQ(rs.cutoff_us, 150u);
-  seal_recovered_log(p1, rs.logs[0], rs.cutoff_us);
-  seal_recovered_log(p2, rs.logs[1], rs.cutoff_us);
-  auto plan = replay_plan(std::move(rs));
-  ASSERT_EQ(plan.size(), 2u);  // v1-key (ts100) + v2-key (ts150); ts200 dropped
-
-  // After sealing, both re-read complete and the drop cannot resurrect.
-  RecoverySet rs2 = load_logs({p1, p2});
-  ASSERT_TRUE(rs2.logs[0].complete);
-  ASSERT_TRUE(rs2.logs[1].complete);
-  auto plan2 = replay_plan(std::move(rs2));
-  ASSERT_EQ(plan2.size(), 2u);
-  EXPECT_EQ(plan2[0].key, "v1-key");
-  EXPECT_EQ(plan2[1].key, "v2-key");
 }
 
 // read_log_file propagates the unknown-version fail-stop instead of

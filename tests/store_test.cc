@@ -365,7 +365,7 @@ TEST(Store, LogTruncationAfterCheckpoint) {
 TEST(Store, IncompleteCheckpointIgnored) {
   std::string ckpt_dir = FreshDir("store_ckpt_incomplete");
   // Parts exist but no MANIFEST: recovery must not use them.
-  std::ofstream(checkpoint_part_path(ckpt_dir, 0), std::ios::binary) << "garbage";
+  std::ofstream(checkpoint_part_path(ckpt_dir, 1, 0), std::ios::binary) << "garbage";
   Store store;
   auto res = store.recover(ckpt_dir, "", 1);
   EXPECT_FALSE(res.used_checkpoint);
@@ -391,8 +391,9 @@ TEST(Store, CheckpointConcurrentWithWrites) {
   writer.join();
   // The checkpoint must contain at least every base key.
   uint64_t total = 0;
+  uint64_t start_ts_us = read_manifest(ckpt_dir).start_ts_us;
   for (unsigned p = 0; p < 2; ++p) {
-    total += read_checkpoint_part(checkpoint_part_path(ckpt_dir, p)).size();
+    total += read_checkpoint_part(checkpoint_part_path(ckpt_dir, start_ts_us, p)).size();
   }
   EXPECT_GE(total, 5000u);
 }

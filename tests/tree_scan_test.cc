@@ -1,5 +1,5 @@
 // Range-query (getrange/scan, §3) tests: multi-layer traversal, oracle
-// comparisons against std::map for scan / scan_batch / scan_legacy and the
+// comparisons against std::map for Tree::scan and the
 // raw ScanCursor (including detach/re-attach resume), the allocation-free
 // steady-state guarantee, and scans racing splits + empty-layer GC.
 
@@ -21,9 +21,7 @@ using test_support::ChurnDriver;
 
 // How each oracle comparison drives the tree.
 enum class Mode {
-  kScan,        // Tree::scan — thin loop over ScanCursor
-  kScanBatch,   // Tree::scan_batch — cursor + next-border prefetch
-  kScanLegacy,  // pre-cursor baseline kept for the sec3_scan ablation
+  kScan,          // Tree::scan — cursor + next-border prefetch
   kCursorDetach,  // raw cursor, detach()/re-attach between every batch
 };
 
@@ -52,12 +50,6 @@ class ScanTest : public ::testing::Test {
     switch (mode) {
       case Mode::kScan:
         tree_.scan(first, limit, emit, ti_);
-        break;
-      case Mode::kScanBatch:
-        tree_.scan_batch(first, limit, emit, ti_);
-        break;
-      case Mode::kScanLegacy:
-        tree_.scan_legacy(first, limit, emit, ti_);
         break;
       case Mode::kCursorDetach: {
         // Chunked drive: one epoch guard per batch with a detach in between,
@@ -91,7 +83,7 @@ class ScanTest : public ::testing::Test {
   }
 
   void ExpectScanMatchesOracle(const std::string& first, size_t limit) {
-    for (Mode mode : {Mode::kScan, Mode::kScanBatch, Mode::kScanLegacy, Mode::kCursorDetach}) {
+    for (Mode mode : {Mode::kScan, Mode::kCursorDetach}) {
       auto got = Scan(first, limit, mode);
       auto want = OracleScan(first, limit);
       ASSERT_EQ(got.size(), want.size())
@@ -373,7 +365,7 @@ TEST_F(ScanTest, ScanUnderChurn) {
     snprintf(buf, sizeof(buf), "k%05d", static_cast<int>(rng.next_range(2 * kStable)));
     std::string first(buf);
     std::vector<std::pair<std::string, uint64_t>> got;
-    tree_.scan_batch(
+    tree_.scan(
         first, 50,
         [&](std::string_view k, uint64_t v) {
           got.emplace_back(std::string(k), v);
