@@ -334,7 +334,7 @@ int main() {
   std::printf("multiput batches:             %llu (kMultiputBatches, batch=%zu, %llu writes)\n",
               static_cast<unsigned long long>(mp_batches.load()), kBatch,
               static_cast<unsigned long long>(mp_writes.load()));
-  std::printf("multiput retries / M writes:  %8.2f   (kMultiputRetries: per-key fallbacks)\n",
+  std::printf("multiput retries / M writes:  %8.2f   (kMultiputRetries: slow-path puts)\n",
               static_cast<double>(mp_retries.load()) * mp_per_m);
   bool cache_accounting_ok = c_hits.load() + c_misses.load() == c_gets.load();
   std::printf("cache hits+misses == gets:    %s   (batched fill-path accounting)\n",

@@ -9,10 +9,10 @@
 // cursor's next node before touching any of them (§4.8 / PALM software
 // pipelining), and ScanCursor's border location is the same machine
 // stopped at its border. The write side mirrors it: WriteCursor (also core/cursor.h) packages descend +
-// lock-acquire as one resumable machine, locate_locked() runs one
-// synchronously, and multiput()/multiremove() round-robin a window of them
-// (sorted-key application, last-write-wins dedupe, per-key fallback to the
-// single-put path on suffix conflicts and splits).
+// lock-acquire as one resumable machine, and every write applies under its
+// border lock through one routine, apply_locked(). put_with() runs one
+// cursor synchronously; multiput()/multiremove() round-robin a window of
+// them (sorted-key application, last-write-wins dedupe).
 // scan() drives the resumable ScanCursor (also core/cursor.h): whole
 // border-node snapshots chain-walked along next() pointers, with the next
 // border prefetched ahead of emission, allocation- and re-descent-free in
@@ -225,9 +225,10 @@ class BasicTree {
   // the lock released before any other cursor is stepped, so at most one
   // border lock is held at a time — batched writers cannot invert lock order.
   // Requests are applied in sorted-key order (duplicate-key runs dedupe to
-  // last-write-wins; see below), and the hard cases — suffix conflict
-  // (make_layer) and full-node split — fall back per-key through the existing
-  // single-put path (Counter::kMultiputRetries).
+  // last-write-wins; see below). The apply is apply_locked(), the same one
+  // put_with() runs, so splits and new layers complete inline: no other
+  // window cursor holds a lock at that point. Counter::kMultiputRetries
+  // counts the puts that split or create a layer, plus dead-layer restarts.
   //
   // Duplicate-key semantics: only the LAST request for a key (in span order)
   // touches the tree; earlier duplicates are never applied, so a batch
@@ -320,13 +321,13 @@ class BasicTree {
       Key key;
       WriteCursor<C> cur;
       uint32_t req;
+      bool slow = false;  // already counted in kMultiputRetries
       Slot(Node* root, std::string_view k, uint32_t r)
           : key(k), cur(root, key.slice()), req(r) {}
     };
     const size_t nslots = n < kMultigetWindow ? n : kMultigetWindow;
     std::optional<Slot> sl[kMultigetWindow];
     size_t live = 0;
-    size_t napplied = 0;
     Node* treeroot = root_.load(std::memory_order_acquire);
     for (size_t i = 0; i < nslots; ++i) {
       size_t oi = next_surviving();
@@ -361,13 +362,16 @@ class BasicTree {
           s.cur.reset(root_.load(std::memory_order_acquire), s.key.slice());
           continue;
         }
-        // kLocked: apply under the held lock (released before any other
-        // cursor is stepped), or continue the descent into a sub-layer.
+        // kLocked: apply under the held lock (released or consumed before
+        // any other cursor is stepped), or continue one layer down.
         Node* subroot = nullptr;
-        if (!multiput_apply(s.cur.locked(), s.key, reqs[s.req], s.req,
-                            make_value, on_remove, &subroot, &napplied, ctrs,
-                            ti)) {
-          s.key.shift();
+        Applied a = apply_locked(s.cur.locked(), s.key, reqs[s.req], s.req,
+                                 make_value, on_remove, &subroot, ti);
+        if ((a == Applied::kSplit || a == Applied::kNewLayer) && !s.slow) {
+          s.slow = true;
+          ctrs->inc(Counter::kMultiputRetries);
+        }
+        if (a == Applied::kDescend || a == Applied::kNewLayer) {
           s.cur.reset(subroot, s.key.slice());
           continue;
         }
@@ -411,9 +415,8 @@ class BasicTree {
       i = j;
     }
     // Report the as-if-sequential modification count: duplicate runs applied
-    // fewer physical writes than their request count (napplied tracks those),
-    // but callers see the same answer sequential application would give.
-    (void)napplied;
+    // fewer physical writes than their request count, but callers see the
+    // same answer sequential application would give.
     size_t as_if_applied = 0;
     for (const PutRequest& rq : reqs) {
       as_if_applied += rq.remove ? (rq.found ? 1u : 0u) : 1u;
@@ -422,189 +425,53 @@ class BasicTree {
   }
 
   // --------------------------------------------------------------------
+  // put_with — one write, synchronously: locate_locked() runs one
+  // WriteCursor and apply_locked() applies the request, exactly as
+  // multiput_with does for each surviving request of a batch. The callbacks
+  // and result fields are multiput_with's (the request index is always 0).
+  template <typename MakeValue, typename OnRemove>
+  void put_with(PutRequest& rq, MakeValue&& make_value, OnRemove&& on_remove,
+                ThreadContext& ti) {
+    EpochGuard guard(ti.slot());
+    Key key(rq.key);
+    Node* root = root_.load(std::memory_order_acquire);
+    for (;;) {
+      Border* n = locate_locked(root, key.slice(), ti);
+      if (n == nullptr) {
+        ti.counters().inc(Counter::kPutRetryFromRoot);
+        key.unshift_all();
+        root = root_.load(std::memory_order_acquire);
+        continue;
+      }
+      Applied a = apply_locked(n, key, rq, 0, make_value, on_remove, &root, ti);
+      if (a == Applied::kDone || a == Applied::kSplit) {
+        return;
+      }
+    }
+  }
+
   // put(k, v). Returns true if a new key was inserted, false if an existing
   // key's value was replaced; the previous value (for the caller to retire)
   // lands in *old_value when updating.
   bool insert(std::string_view k, uint64_t value, uint64_t* old_value, ThreadContext& ti) {
-    EpochGuard guard(ti.slot());
-    Key key(k);
-    Node* root = root_.load(std::memory_order_acquire);
-    for (;;) {
-      Border* n = locate_locked(root, key.slice(), ti);
-      if (n == nullptr) {
-        ti.counters().inc(Counter::kPutRetryFromRoot);
-        key.unshift_all();
-        root = root_.load(std::memory_order_acquire);
-        continue;
-      }
-      uint64_t slice = key.slice();
-      int ord = search_ord(key);
-      Permuter perm(n->raw_permutation().load(std::memory_order_relaxed));
-      int pos;
-      int slot = n->find(perm, slice, ord, &pos);
-      if (slot >= 0) {
-        uint8_t kx = n->keylenx(slot);
-        assert(!keylenx_is_unstable(kx));
-        if (keylenx_is_layer(kx)) {
-          root = descend_layer_locked(n, slot);
-          n->version().unlock();
-          key.shift();
-          continue;
-        }
-        if (keylenx_has_suffix(kx) && !n->suffixes()->equals(slot, key.suffix())) {
-          // Two long keys share this slice: push the existing one down a
-          // layer, then continue inserting there (§4.6.3).
-          root = make_layer(n, slot, ti);
-          n->version().unlock();
-          key.shift();
-          continue;
-        }
-        // Exact match: in-place value update with a single aligned write
-        // (§4.6.1); no version bump, readers never retry.
-        if (old_value != nullptr) {
-          *old_value = n->lv(slot);
-        }
-        n->set_lv(slot, value);
-        n->version().unlock();
-        return false;
-      }
-      if (perm.size() < Border::kWidth) {
-        insert_into_border(n, pos, key, value, ti);
-        n->version().unlock();
-        return true;
-      }
-      split_insert(n, key, value, ti);  // consumes the lock
-      return true;
+    PutRequest rq{k, value};
+    put_with(rq, [value](size_t, bool, uint64_t) { return value; },
+             [](size_t, uint64_t) {}, ti);
+    if (rq.found && old_value != nullptr) {
+      *old_value = rq.old_value;
     }
+    return rq.inserted;
   }
 
-  // --------------------------------------------------------------------
-  // Atomic read-modify-write put: fn(found, old_value) -> new_value runs
-  // under the border-node lock, so no concurrent put to the same key can
-  // interleave between the read and the write. Used by the kvstore layer to
-  // build copy-on-write rows (§4.7's atomic multi-column puts). Returns true
-  // if the key was newly inserted; on update the replaced value is stored in
-  // *old_value for the caller to epoch-retire.
-  template <typename Fn>
-  bool insert_transform(std::string_view k, Fn&& fn, uint64_t* old_value, ThreadContext& ti) {
-    EpochGuard guard(ti.slot());
-    Key key(k);
-    Node* root = root_.load(std::memory_order_acquire);
-    for (;;) {
-      Border* n = locate_locked(root, key.slice(), ti);
-      if (n == nullptr) {
-        ti.counters().inc(Counter::kPutRetryFromRoot);
-        key.unshift_all();
-        root = root_.load(std::memory_order_acquire);
-        continue;
-      }
-      uint64_t slice = key.slice();
-      int ord = search_ord(key);
-      Permuter perm(n->raw_permutation().load(std::memory_order_relaxed));
-      int pos;
-      int slot = n->find(perm, slice, ord, &pos);
-      if (slot >= 0) {
-        uint8_t kx = n->keylenx(slot);
-        assert(!keylenx_is_unstable(kx));
-        if (keylenx_is_layer(kx)) {
-          root = descend_layer_locked(n, slot);
-          n->version().unlock();
-          key.shift();
-          continue;
-        }
-        if (keylenx_has_suffix(kx) && !n->suffixes()->equals(slot, key.suffix())) {
-          root = make_layer(n, slot, ti);
-          n->version().unlock();
-          key.shift();
-          continue;
-        }
-        uint64_t old = n->lv(slot);
-        if (old_value != nullptr) {
-          *old_value = old;
-        }
-        n->set_lv(slot, fn(true, old));
-        n->version().unlock();
-        return false;
-      }
-      uint64_t value = fn(false, 0);
-      if (perm.size() < Border::kWidth) {
-        insert_into_border(n, pos, key, value, ti);
-        n->version().unlock();
-        return true;
-      }
-      split_insert(n, key, value, ti);
-      return true;
-    }
-  }
-
-  // --------------------------------------------------------------------
   // remove(k). Returns true and the removed value if the key was present.
   bool remove(std::string_view k, uint64_t* old_value, ThreadContext& ti) {
-    return remove_with(
-        k,
-        [old_value](uint64_t old) {
-          if (old_value != nullptr) {
-            *old_value = old;
-          }
-        },
-        ti);
-  }
-
-  // remove with a hook that runs under the border-node lock just before the
-  // key is unpublished. The kvstore layer uses it to assign the §5 value
-  // version while same-key operations are still serialized.
-  template <typename Fn>
-  bool remove_with(std::string_view k, Fn&& on_remove, ThreadContext& ti) {
-    EpochGuard guard(ti.slot());
-    Key key(k);
-    Node* root = root_.load(std::memory_order_acquire);
-    for (;;) {
-      Border* n = locate_locked(root, key.slice(), ti);
-      if (n == nullptr) {
-        key.unshift_all();
-        root = root_.load(std::memory_order_acquire);
-        continue;
-      }
-      uint64_t slice = key.slice();
-      int ord = search_ord(key);
-      Permuter perm(n->raw_permutation().load(std::memory_order_relaxed));
-      int pos;
-      int slot = n->find(perm, slice, ord, &pos);
-      if (slot < 0) {
-        n->version().unlock();
-        return false;
-      }
-      uint8_t kx = n->keylenx(slot);
-      if (keylenx_is_layer(kx)) {
-        root = descend_layer_locked(n, slot);
-        n->version().unlock();
-        key.shift();
-        continue;
-      }
-      if (keylenx_has_suffix(kx) && !n->suffixes()->equals(slot, key.suffix())) {
-        n->version().unlock();
-        return false;
-      }
-      on_remove(n->lv(slot));
-      // Removal just unpublishes the slot; the key/value bytes stay for
-      // concurrent readers, and vinsert is bumped if the slot is reused
-      // (§4.6.5). Mark inserting so unlock() bumps vinsert NOW as well:
-      // in-flight readers racing the permutation store re-validate, and any
-      // record-cache entry pointing at this slot fails changed_since()
-      // instead of serving the unpublished value.
-      n->version().mark_inserting();
-      perm.remove(pos);
-      n->set_permutation(perm);
-      if (n->nremoved_ < 255) {
-        ++n->nremoved_;
-      }
-      if (perm.size() == 0) {
-        handle_empty_border(n, key, ti);  // consumes the lock
-      } else {
-        n->version().unlock();
-      }
-      return true;
+    PutRequest rq{k, 0, /*remove=*/true};
+    put_with(rq, [](size_t, bool, uint64_t) { return uint64_t{0}; },
+             [](size_t, uint64_t) {}, ti);
+    if (rq.found && old_value != nullptr) {
+      *old_value = rq.old_value;
     }
+    return rq.found;
   }
 
   // --------------------------------------------------------------------
@@ -764,50 +631,62 @@ class BasicTree {
     }
   }
 
-  // ---------------- multiput apply (§4.8 write pipeline) ----------------
+  // ---------------- the locked apply (§4.6) ----------------
 
-  // Apply one batched write to the locked border `n` responsible for `key`'s
-  // current slice. Returns true when the request completed (the lock was
-  // released or consumed); false when the descent continues into a sub-layer
-  // whose root is stored in *subroot (lock released, key not yet shifted).
-  // The simple cases — exact-match update, in-node insert, remove — run
-  // inline with exactly the single-put protocol; suffix conflicts and
-  // full-node splits fall back per-key through insert_transform.
+  // What apply_locked() did with the border lock it was handed.
+  enum class Applied : uint8_t {
+    kDone,      // request complete; lock released or consumed
+    kSplit,     // request complete through split_insert (lock consumed)
+    kDescend,   // continue in the existing layer at *next_root
+    kNewLayer,  // continue in the layer make_layer just created at *next_root
+  };
+
+  // Apply one write to the locked border `n` responsible for `key`'s current
+  // slice — the single copy of §4.6's put/remove protocol. On kDescend and
+  // kNewLayer the lock is released and `key` already shifted to the next
+  // slice. make_value(idx, found, old) builds the stored value of a put under
+  // the lock; on_remove(idx, old) runs under the lock before a found key is
+  // unpublished. The request's inserted/found/old_value are set on completion.
   template <typename MakeValue, typename OnRemove>
-  bool multiput_apply(Border* n, const Key& key, PutRequest& rq, uint32_t ridx,
-                      MakeValue& make_value, OnRemove& on_remove,
-                      Node** subroot, size_t* napplied, ThreadCounters* ctrs,
-                      ThreadContext& ti) {
-    uint64_t slice = key.slice();
-    int ord = search_ord(key);
+  Applied apply_locked(Border* n, Key& key, PutRequest& rq, size_t idx,
+                       MakeValue& make_value, OnRemove& on_remove,
+                       Node** next_root, ThreadContext& ti) {
     Permuter perm(n->raw_permutation().load(std::memory_order_relaxed));
     int pos;
-    int slot = n->find(perm, slice, ord, &pos);
+    int slot = n->find(perm, key.slice(), search_ord(key), &pos);
     if (slot >= 0) {
       uint8_t kx = n->keylenx(slot);
       assert(!keylenx_is_unstable(kx));
-      if (keylenx_is_layer(kx)) {
-        *subroot = descend_layer_locked(n, slot);
+      bool layer = keylenx_is_layer(kx);
+      bool conflict = !layer && keylenx_has_suffix(kx) &&
+                      !n->suffixes()->equals(slot, key.suffix());
+      if (layer || (conflict && !rq.remove)) {
+        // A put whose long key shares this slice with another pushes the
+        // existing key down into a new layer, then continues there (§4.6.3).
+        *next_root = layer ? descend_layer_locked(n, slot) : make_layer(n, slot, ti);
         n->version().unlock();
-        return false;
+        key.shift();
+        return layer ? Applied::kDescend : Applied::kNewLayer;
       }
-      if (keylenx_has_suffix(kx) && !n->suffixes()->equals(slot, key.suffix())) {
-        n->version().unlock();
-        if (rq.remove) {
-          rq.found = false;
-          return true;
-        }
-        // Two long keys share this slice: single-put fallback runs
-        // make_layer and re-descends (§4.6.3).
-        multiput_fallback(rq, ridx, make_value, napplied, ctrs, ti);
-        return true;
-      }
-      uint64_t old = n->lv(slot);
-      if (rq.remove) {
-        on_remove(static_cast<size_t>(ridx), old);
+      if (!conflict) {
+        uint64_t old = n->lv(slot);
         rq.found = true;
+        rq.inserted = false;
         rq.old_value = old;
-        // See remove_with(): unpublish + vinsert bump under the same lock.
+        if (!rq.remove) {
+          // Exact match: in-place value update with a single aligned write
+          // (§4.6.1); no version bump, readers never retry.
+          n->set_lv(slot, make_value(idx, true, old));
+          n->version().unlock();
+          return Applied::kDone;
+        }
+        on_remove(idx, old);
+        // Removal just unpublishes the slot; the key/value bytes stay for
+        // concurrent readers, and vinsert is bumped if the slot is reused
+        // (§4.6.5). Mark inserting so unlock() bumps vinsert NOW as well:
+        // in-flight readers racing the permutation store re-validate, and any
+        // record-cache entry pointing at this slot fails changed_since()
+        // instead of serving the unpublished value.
         n->version().mark_inserting();
         perm.remove(pos);
         n->set_permutation(perm);
@@ -819,52 +698,25 @@ class BasicTree {
         } else {
           n->version().unlock();
         }
-        ++*napplied;
-        return true;
+        return Applied::kDone;
       }
-      rq.found = true;
-      rq.inserted = false;
-      rq.old_value = old;
-      n->set_lv(slot, make_value(static_cast<size_t>(ridx), true, old));
-      n->version().unlock();
-      ++*napplied;
-      return true;
     }
+    // Absent key (or a remove whose slice holds a different long key).
+    rq.found = false;
+    rq.inserted = !rq.remove;
+    rq.old_value = 0;
     if (rq.remove) {
       n->version().unlock();
-      rq.found = false;
-      return true;
+      return Applied::kDone;
     }
+    uint64_t value = make_value(idx, false, 0);
     if (perm.size() < Border::kWidth) {
-      uint64_t value = make_value(static_cast<size_t>(ridx), false, 0);
       insert_into_border(n, pos, key, value, ti);
       n->version().unlock();
-      rq.inserted = true;
-      rq.found = false;
-      ++*napplied;
-      return true;
+      return Applied::kDone;
     }
-    // Full node: single-put fallback runs split_insert.
-    n->version().unlock();
-    multiput_fallback(rq, ridx, make_value, napplied, ctrs, ti);
-    return true;
-  }
-
-  template <typename MakeValue>
-  void multiput_fallback(PutRequest& rq, uint32_t ridx, MakeValue& make_value,
-                         size_t* napplied, ThreadCounters* ctrs,
-                         ThreadContext& ti) {
-    ctrs->inc(Counter::kMultiputRetries);
-    uint64_t old = 0;
-    rq.inserted = insert_transform(
-        rq.key,
-        [&](bool found, uint64_t o) {
-          return make_value(static_cast<size_t>(ridx), found, o);
-        },
-        &old, ti);
-    rq.found = !rq.inserted;
-    rq.old_value = rq.found ? old : 0;
-    ++*napplied;
+    split_insert(n, key, value, ti);  // consumes the lock
+    return Applied::kSplit;
   }
 
   // ---------------- border insert helpers ----------------

@@ -228,40 +228,19 @@ class Store {
     return nfound;
   }
 
-  // putc(k, v): atomic multi-column put (§4.7). Status-returning entry
-  // point: a store that has tripped into read-only mode rejects the write
-  // without touching the tree (and without throwing — the event-loop server
-  // answers kReadOnly on the wire instead of dying).
+  // putc(k, v): atomic multi-column put (§4.7), a one-op multiput().
+  // Status-returning entry point: a store that has tripped into read-only
+  // mode rejects the write without touching the tree (and without throwing —
+  // the event-loop server answers kReadOnly on the wire instead of dying).
   enum class PutResult : uint8_t { kInserted, kUpdated, kReadOnly };
 
   PutResult put_checked(std::string_view key,
                         const std::vector<ColumnUpdate>& updates, Session& s) {
-    if (MT_UNLIKELY(read_only())) {
-      count_rejected_write(s, 1);
-      return PutResult::kReadOnly;
-    }
-    uint64_t version = 0;
-    uint64_t old_lv = 0;
-    bool inserted = tree_->insert_transform(
-        key,
-        [&](bool found, uint64_t old) {
-          // Version assignment happens under the border lock, so versions of
-          // one value are strictly increasing in application order (§5).
-          version = next_version();
-          const Row* old_row = found ? Row::from_slot(old) : nullptr;
-          return Row::to_slot(Row::update(s.ti_, old_row, updates, version));
-        },
-        &old_lv, s.ti_);
-    if (!inserted) {
-      s.ti_.retire(Row::from_slot(old_lv), Row::deallocate);
-    }
-    if (!log_writers_.empty()) {
-      // Wait-free fast path: encode in place into the session's own
-      // double-buffered arena — no mutex, no allocation (§5).
-      ensure_log(s)->append_put(key, updates, version);
-    }
-    maybe_maintain(s);
-    return inserted ? PutResult::kInserted : PutResult::kUpdated;
+    PutOp op{key, updates};
+    multiput(std::span<PutOp>(&op, 1), s);
+    return op.rejected   ? PutResult::kReadOnly
+           : op.inserted ? PutResult::kInserted
+                         : PutResult::kUpdated;
   }
 
   // Legacy bool API: returns true if the key was newly inserted; throws
@@ -277,28 +256,13 @@ class Store {
 
   enum class RemoveResult : uint8_t { kRemoved, kAbsent, kReadOnly };
 
+  // removec(k), a one-op multiput().
   RemoveResult remove_checked(std::string_view key, Session& s) {
-    if (MT_UNLIKELY(read_only())) {
-      count_rejected_write(s, 1);
-      return RemoveResult::kReadOnly;
-    }
-    uint64_t version = 0;
-    Row* old_row = nullptr;
-    bool removed = tree_->remove_with(
-        key,
-        [&](uint64_t old) {
-          version = next_version();
-          old_row = Row::from_slot(old);
-        },
-        s.ti_);
-    if (removed) {
-      s.ti_.retire(old_row, Row::deallocate);
-      if (!log_writers_.empty()) {
-        ensure_log(s)->append_remove(key, version);
-      }
-    }
-    maybe_maintain(s);
-    return removed ? RemoveResult::kRemoved : RemoveResult::kAbsent;
+    PutOp op{key, {}, /*remove=*/true};
+    multiput(std::span<PutOp>(&op, 1), s);
+    return op.rejected ? RemoveResult::kReadOnly
+           : op.found  ? RemoveResult::kRemoved
+                       : RemoveResult::kAbsent;
   }
 
   bool remove(std::string_view key, Session& s) {
@@ -309,12 +273,13 @@ class Store {
     return r == RemoveResult::kRemoved;
   }
 
-  // Batched putc/removec — the write-side twin of multiget (§4.8). One
-  // EpochGuard spans the tree batch, versions are assigned under each
-  // border's lock (so per-key version order matches application order, §5),
-  // and everything the batch applies goes to the log through one grouped
-  // arena reservation (LogShard::append_batch) — the append path stays
-  // wait-free and allocation-free, exactly like put(). Duplicate keys follow
+  // Batched putc/removec — the write-side twin of multiget (§4.8), and the
+  // store's one write routine: put_checked/remove_checked are one-op
+  // batches. One EpochGuard spans the tree batch, versions are assigned
+  // under each border's lock (so per-key version order matches application
+  // order, §5), and everything the batch applies goes to the log through one
+  // grouped arena reservation (LogShard::append_batch) — the append path
+  // stays wait-free and allocation-free. Duplicate keys follow
   // Tree::multiput's last-write-wins contract: only the last op per key is
   // applied and logged (exactly one record per surviving write), and each
   // op's inserted/found results read as if the batch had run sequentially.
@@ -359,17 +324,11 @@ class Store {
     }
     size_t applied = tree_->multiput_with(
         std::span<Tree::PutRequest>(reqs),
-        [&](size_t i, bool found, uint64_t old) -> uint64_t {
-          // Runs under the border lock, like put()'s transform: versions of
-          // one value stay strictly increasing in application order (§5).
-          uint64_t version = next_version();
-          vers[i] = version;
-          const Row* old_row = found ? Row::from_slot(old) : nullptr;
-          Row* row = Row::update(s.ti_, old_row, ops[i].updates, version);
-          if (old_row != nullptr) {
-            s.ti_.retire(const_cast<Row*>(old_row), Row::deallocate);
-          }
-          return Row::to_slot(row);
+        [&](size_t i, bool found, uint64_t old) {
+          // Runs under the border lock: versions of one value stay strictly
+          // increasing in application order (§5).
+          vers[i] = next_version();
+          return replace_row(found, old, ops[i].updates, vers[i], s);
         },
         [&](size_t i, uint64_t old) {
           vers[i] = next_version();
@@ -385,17 +344,10 @@ class Store {
       // an absent key assigns no version and logs nothing, like remove().
       std::vector<LogShard::BatchOp>& lops = s.mp_log_;
       lops.clear();
-      // Distinguishes an empty-column put from a remove (null updates):
-      // an empty span's data() may be null.
-      static constexpr ColumnUpdate kNoCols[1] = {{0u, {}}};
       for (size_t i = 0; i < ops.size(); ++i) {
-        if (vers[i] == 0) {
-          continue;
+        if (vers[i] != 0) {
+          lops.push_back(LogShard::BatchOp{ops[i].key, ops[i].updates, ops[i].remove, vers[i]});
         }
-        const PutOp& o = ops[i];
-        const ColumnUpdate* up =
-            o.remove ? nullptr : (o.updates.empty() ? kNoCols : o.updates.data());
-        lops.push_back(LogShard::BatchOp{o.key, up, o.remove ? 0 : o.updates.size(), vers[i]});
       }
       if (!lops.empty()) {
         ensure_log(s)->append_batch(std::span<const LogShard::BatchOp>(lops));
@@ -909,35 +861,42 @@ class Store {
     apply_update(key, updates, version, s);
   }
 
+  // One entry at a time through Tree::put_with, never batched: a batch's
+  // last-write-wins dedupe would drop earlier partial-column updates.
   void apply_update(std::string_view key, const std::vector<ColumnUpdate>& updates,
                     uint64_t version, Session& s) {
-    uint64_t old_lv = 0;
-    bool replaced_newer = false;
-    bool inserted = tree_->insert_transform(
-        key,
-        [&](bool found, uint64_t old) -> uint64_t {
-          const Row* old_row = found ? Row::from_slot(old) : nullptr;
-          if (old_row != nullptr && old_row->version() >= version) {
-            replaced_newer = true;
+    Tree::PutRequest rq{key};
+    tree_->put_with(
+        rq,
+        [&](size_t, bool found, uint64_t old) {
+          if (found && Row::from_slot(old)->version() >= version) {
             return old;  // keep the newer row
           }
-          return Row::to_slot(Row::update(s.ti_, old_row, updates, version));
+          return replace_row(found, old, updates, version, s);
         },
-        &old_lv, s.ti_);
-    if (!inserted && !replaced_newer) {
-      s.ti_.retire(Row::from_slot(old_lv), Row::deallocate);
-    }
+        [](size_t, uint64_t) {}, s.ti_);
     track_version(version);
   }
 
   void apply_remove(std::string_view key, uint64_t version, Session& s) {
-    Row* old_row = nullptr;
-    bool removed = tree_->remove_with(
-        key, [&](uint64_t old) { old_row = Row::from_slot(old); }, s.ti_);
-    if (removed) {
-      s.ti_.retire(old_row, Row::deallocate);
-    }
+    Tree::PutRequest rq{key, 0, /*remove=*/true};
+    tree_->put_with(
+        rq, [](size_t, bool, uint64_t) { return uint64_t{0}; },
+        [&](size_t, uint64_t old) { s.ti_.retire(Row::from_slot(old), Row::deallocate); },
+        s.ti_);
     track_version(version);
+  }
+
+  // The copy-on-write row swap of a put (§4.7), run under the border lock:
+  // builds the new row over the old one (if found) and epoch-retires the old.
+  static uint64_t replace_row(bool found, uint64_t old, std::span<const ColumnUpdate> updates,
+                              uint64_t version, Session& s) {
+    const Row* old_row = found ? Row::from_slot(old) : nullptr;
+    Row* row = Row::update(s.ti_, old_row, updates, version);
+    if (old_row != nullptr) {
+      s.ti_.retire(const_cast<Row*>(old_row), Row::deallocate);
+    }
+    return Row::to_slot(row);
   }
 
   void track_version(uint64_t v) {

@@ -121,55 +121,19 @@ class LogShard {
   // timestamp is read after the begin_append announcement, which is what
   // lets the logging thread prove marker safety (see drain_shard).
   //
-  // Values at or above compress_threshold_ are lz-compressed into a stack
-  // scratch before the record is sized, so the arena reservation is exact
-  // and the fast path stays allocation-free (Counter::kLogAllocs == 0 in
-  // steady state, compression included). Incompressible data bails out to
-  // raw storage: compress() is given a budget of raw_len - 1 bytes.
+  // append_batch is the one planning-and-emitting routine; append_put and
+  // append_remove are one-record batches.
+  struct BatchOp {
+    std::string_view key;
+    std::span<const ColumnUpdate> updates;  // ignored when remove == true
+    bool remove = false;
+    uint64_t version = 0;
+  };
+
   void append_put(std::string_view key, std::span<const ColumnUpdate> updates,
                   uint64_t version) {
-    logwire::ColPlan stack_plans[kMaxPlanCols];
-    char scratch[kCompressScratchBytes];
-    std::vector<logwire::ColPlan> heap_plans;
-    logwire::ColPlan* plans = stack_plans;
-    size_t ncols = updates.size();
-    if (MT_UNLIKELY(ncols > kMaxPlanCols)) {
-      heap_plans.resize(ncols);
-      plans = heap_plans.data();
-      if (counters_ != nullptr) {
-        counters_->inc(Counter::kLogAllocs);
-      }
-    }
-    size_t used = 0;
-    size_t saved = 0;  // raw-minus-stored across compressed columns
-    bool any_compressed = false;
-    for (size_t i = 0; i < ncols; ++i) {
-      const ColumnUpdate& u = updates[i];
-      logwire::ColPlan& pl = plans[i];
-      pl.col = u.col;
-      pl.data = u.data.data();
-      pl.raw_len = static_cast<uint32_t>(u.data.size());
-      pl.stored_len = pl.raw_len;
-      pl.compressed = false;
-      if (compress_threshold_ != 0 && u.data.size() >= compress_threshold_ &&
-          u.data.size() <= logwire::kMaxColumnRaw) {
-        size_t cap = u.data.size() - 1;
-        size_t room = sizeof(scratch) - used;
-        if (cap > room) cap = room;
-        size_t c = cap == 0 ? 0
-                            : lz::compress(u.data.data(), u.data.size(),
-                                           scratch + used, cap);
-        if (c != 0) {
-          pl.data = scratch + used;
-          pl.stored_len = static_cast<uint32_t>(c);
-          pl.compressed = true;
-          used += c;
-          saved += u.data.size() - c;
-          any_compressed = true;
-        }
-      }
-    }
-    append_put_planned(key, plans, ncols, version, any_compressed, saved);
+    const BatchOp op{key, updates, false, version};
+    append_batch(std::span<const BatchOp>(&op, 1));
   }
 
   // Braced-list convenience: append_put(key, {{0, "v"}}, ver).
@@ -180,69 +144,37 @@ class LogShard {
   }
 
   void append_remove(std::string_view key, uint64_t version) {
-    begin_append();
-    uint64_t ts = wall_us();
-    if (MT_UNLIKELY(rebase_needed_.exchange(false, std::memory_order_relaxed))) {
-      prev_ts_valid_ = false;
-    }
-    for (;;) {
-      bool delta = prev_ts_valid_;
-      uint64_t ts_field =
-          delta ? vint::zigzag(static_cast<int64_t>(ts - prev_ts_us_)) : ts;
-      size_t need = logwire::remove_record_size(key, version, ts_field);
-      if (MT_UNLIKELY(need > bufs_[0].cap)) {
-        need = logwire::remove_record_size(key, version, ts);
-        append_jumbo(need, [&](char* dst) {
-          logwire::encode_remove_to(dst, key, version, ts, false);
-        });
-        note_data_record(ts, need, need, false);
-        return;
-      }
-      char* dst = reserve(need);
-      if (MT_UNLIKELY(dst == nullptr)) {
-        return;  // writer shut down underneath us: record dropped
-      }
-      if (MT_UNLIKELY(delta && bufs_[cur_].wpos == 0)) {
-        // Reserve flipped to a fresh half: its first record anchors the
-        // delta chain, so re-size as absolute and try again.
-        prev_ts_valid_ = false;
-        continue;
-      }
-      logwire::encode_remove_to(dst, key, version, ts_field, delta);
-      note_data_record(ts, need, need, false);
-      publish(need);
-      return;
-    }
+    const BatchOp op{key, {}, true, version};
+    append_batch(std::span<const BatchOp>(&op, 1));
   }
 
-  // One grouped arena reservation for a whole batch of puts/removes — §4.8's
-  // write pipeline meeting §5's wait-free append. Records are planned
-  // (compressed) in chunks sized by exact logrecord.h cost, then written
-  // with a single begin_append()/wall_us()/reserve()/publish() per chunk, so
-  // a batch of B records pays one seqlock announcement, one clock read and
-  // one release store instead of B of each — while the path stays
-  // allocation-free (Counter::kLogAllocs == 0, same discipline as
-  // append_put). All records of a chunk share one timestamp: the first
-  // carries it absolute or delta-chained like any record, the followers are
-  // delta-0 against it, so per-file timestamp monotonicity (the §5 recovery
-  // cutoff invariant) is untouched. Record order is preserved; records that
-  // do not fit the grouped fast path (jumbo, > kMaxPlanCols columns) take
-  // the single-record path alone, in order. A null `updates` marks a remove.
-  struct BatchOp {
-    std::string_view key;
-    const ColumnUpdate* updates = nullptr;  // null => remove record
-    size_t ncols = 0;
-    uint64_t version = 0;
-  };
-
+  // One grouped arena reservation per chunk of records — §4.8's write
+  // pipeline meeting §5's wait-free append. Records are planned (compressed)
+  // in chunks sized by exact logrecord.h cost, then written with a single
+  // begin_append()/wall_us()/reserve()/publish() per chunk, so a batch of B
+  // records pays one seqlock announcement, one clock read and one release
+  // store instead of B of each. All records of a chunk share one timestamp:
+  // the first carries it absolute or delta-chained like any record, the
+  // followers are delta-0 against it, so per-file timestamp monotonicity
+  // (the §5 recovery cutoff invariant) is untouched. Record order is
+  // preserved.
+  //
+  // Values at or above compress_threshold_ are lz-compressed into a stack
+  // scratch before the record is sized, so the arena reservation is exact
+  // and the path stays allocation-free (Counter::kLogAllocs == 0 in steady
+  // state, compression included). Incompressible data bails out to raw
+  // storage: compress() is given a budget of raw_len - 1 bytes. Two kinds
+  // of record cannot share a chunk and are planned alone: one with more
+  // than kBatchPlanCols columns plans into a heap array (one kLogAllocs),
+  // and one larger than an arena half goes out through append_jumbo.
   void append_batch(std::span<const BatchOp> ops) {
-    logwire::ColPlan plans[kBatchPlanCols];
+    logwire::ColPlan stack_plans[kBatchPlanCols];
     char scratch[kCompressScratchBytes];
     struct RecMeta {
       size_t plan_off;
       size_t ncols;
       size_t size_rest;  // record size as a follower (1-byte delta-0 ts)
-      size_t saved;
+      size_t saved;      // raw-minus-stored across compressed columns
       bool compressed;
     };
     RecMeta recs[kBatchChunkRecords];
@@ -251,6 +183,8 @@ class LogShard {
       // ---- plan one chunk [i, i+nrec): pack greedily while plan slots,
       // compression scratch, and a worst-case (absolute-ts first record)
       // arena half all have room.
+      logwire::ColPlan* plans = stack_plans;
+      std::unique_ptr<logwire::ColPlan[]> heap_plans;
       size_t nrec = 0;
       size_t plan_used = 0;
       size_t scratch_used = 0;
@@ -258,12 +192,16 @@ class LogShard {
       size_t total_rest = 0;  // follower sizes
       while (i + nrec < ops.size() && nrec < kBatchChunkRecords) {
         const BatchOp& op = ops[i + nrec];
-        size_t ncols = op.updates != nullptr ? op.ncols : 0;
-        if (MT_UNLIKELY(op.updates != nullptr && ncols > kMaxPlanCols)) {
-          break;  // heap-plan record: flush the chunk, handle it alone below
-        }
+        size_t ncols = op.remove ? 0 : op.updates.size();
         if (plan_used + ncols > kBatchPlanCols) {
-          break;
+          if (nrec > 0) {
+            break;
+          }
+          heap_plans = std::make_unique<logwire::ColPlan[]>(ncols);
+          plans = heap_plans.get();
+          if (counters_ != nullptr) {
+            counters_->inc(Counter::kLogAllocs);
+          }
         }
         RecMeta& rm = recs[nrec];
         rm.plan_off = plan_used;
@@ -297,48 +235,19 @@ class LogShard {
             }
           }
         }
-        size_t sz_rest =
-            op.updates != nullptr
-                ? logwire::put_record_size(op.key, plans + rm.plan_off,
-                                           ncols, op.version, uint64_t{0})
-                : logwire::remove_record_size(op.key, op.version,
-                                              uint64_t{0});
-        size_t sz_abs =
-            op.updates != nullptr
-                ? logwire::put_record_size(op.key, plans + rm.plan_off,
-                                           ncols, op.version, ~uint64_t{0})
-                : logwire::remove_record_size(op.key, op.version,
-                                              ~uint64_t{0});
-        size_t worst = nrec == 0 ? sz_abs : first_abs + total_rest + sz_rest;
-        if (MT_UNLIKELY(worst > bufs_[0].cap && nrec > 0)) {
+        size_t sz_rest = record_size(op, plans + rm.plan_off, ncols, 0);
+        if (MT_UNLIKELY(nrec > 0 && first_abs + total_rest + sz_rest > bufs_[0].cap)) {
           scratch_used = scratch_before;  // record re-plans in the next chunk
           break;
         }
-        if (MT_UNLIKELY(nrec == 0 && sz_abs > bufs_[0].cap)) {
-          break;  // lone jumbo record: single-record path below
-        }
         if (nrec == 0) {
-          first_abs = sz_abs;
+          first_abs = record_size(op, plans, ncols, ~uint64_t{0});
         } else {
           total_rest += sz_rest;
         }
         rm.size_rest = sz_rest;
         plan_used += ncols;
         ++nrec;
-      }
-      if (nrec == 0) {
-        // Jumbo or heap-plan record: the single-record path already handles
-        // both slow cases (in order, one record).
-        const BatchOp& op = ops[i];
-        if (op.updates != nullptr) {
-          append_put(op.key,
-                     std::span<const ColumnUpdate>(op.updates, op.ncols),
-                     op.version);
-        } else {
-          append_remove(op.key, op.version);
-        }
-        ++i;
-        continue;
       }
       // ---- emit the chunk: one announcement, one timestamp, one
       // reservation, one publish.
@@ -347,16 +256,23 @@ class LogShard {
       if (MT_UNLIKELY(rebase_needed_.exchange(false, std::memory_order_relaxed))) {
         prev_ts_valid_ = false;
       }
+      const BatchOp& f = ops[i];
+      if (MT_UNLIKELY(first_abs > bufs_[0].cap)) {
+        // Larger than an arena half (and so alone in its chunk): written
+        // between arena flushes, always with an absolute timestamp.
+        size_t need = record_size(f, plans, recs[0].ncols, ts);
+        append_jumbo(need, [&](char* dst) {
+          encode_record(dst, f, plans, recs[0].ncols, ts, false);
+        });
+        note_data_record(ts, need, need + recs[0].saved, recs[0].compressed);
+        ++i;
+        continue;
+      }
       for (;;) {
         bool delta = prev_ts_valid_;
         uint64_t ts0 =
             delta ? vint::zigzag(static_cast<int64_t>(ts - prev_ts_us_)) : ts;
-        const BatchOp& f = ops[i];
-        size_t first_sz =
-            f.updates != nullptr
-                ? logwire::put_record_size(f.key, plans + recs[0].plan_off,
-                                           recs[0].ncols, f.version, ts0)
-                : logwire::remove_record_size(f.key, f.version, ts0);
+        size_t first_sz = record_size(f, plans, recs[0].ncols, ts0);
         size_t total = first_sz + total_rest;
         char* dst = reserve(total);
         if (MT_UNLIKELY(dst == nullptr)) {
@@ -370,19 +286,10 @@ class LogShard {
         }
         size_t off = 0;
         for (size_t r = 0; r < nrec; ++r) {
-          const BatchOp& op = ops[i + r];
-          bool d = r == 0 ? delta : true;
-          uint64_t tf = r == 0 ? ts0 : 0;
           size_t sz = r == 0 ? first_sz : recs[r].size_rest;
-          if (op.updates != nullptr) {
-            logwire::encode_put_to(dst + off, op.key,
-                                   plans + recs[r].plan_off, recs[r].ncols,
-                                   op.version, tf, d);
-            note_data_record(ts, sz, sz + recs[r].saved, recs[r].compressed);
-          } else {
-            logwire::encode_remove_to(dst + off, op.key, op.version, tf, d);
-            note_data_record(ts, sz, sz, false);
-          }
+          encode_record(dst + off, ops[i + r], plans + recs[r].plan_off,
+                        recs[r].ncols, r == 0 ? ts0 : 0, r == 0 ? delta : true);
+          note_data_record(ts, sz, sz + recs[r].saved, recs[r].compressed);
           off += sz;
         }
         publish(total);  // counts one kLogAppends...
@@ -500,48 +407,18 @@ class LogShard {
     }
   }
 
-  // Shared tail of the planned put path: size with the current delta
-  // decision, reserve, encode, publish. Split from append_put so the
-  // column-planning scratch lives in the caller's frame.
-  void append_put_planned(std::string_view key, const logwire::ColPlan* plans,
-                          size_t ncols, uint64_t version, bool any_compressed,
-                          size_t saved) {
-    begin_append();
-    uint64_t ts = wall_us();
-    if (MT_UNLIKELY(rebase_needed_.exchange(false, std::memory_order_relaxed))) {
-      prev_ts_valid_ = false;
-    }
-    for (;;) {
-      bool delta = prev_ts_valid_;
-      uint64_t ts_field =
-          delta ? vint::zigzag(static_cast<int64_t>(ts - prev_ts_us_)) : ts;
-      size_t need =
-          logwire::put_record_size(key, plans, ncols, version, ts_field);
-      if (MT_UNLIKELY(need > bufs_[0].cap)) {
-        // Jumbo records are written between arena flushes and always carry
-        // an absolute timestamp.
-        need = logwire::put_record_size(key, plans, ncols, version, ts);
-        append_jumbo(need, [&](char* dst) {
-          logwire::encode_put_to(dst, key, plans, ncols, version, ts, false);
-        });
-        note_data_record(ts, need, need + saved, any_compressed);
-        return;
-      }
-      char* dst = reserve(need);
-      if (MT_UNLIKELY(dst == nullptr)) {
-        return;  // writer shut down underneath us: record dropped
-      }
-      if (MT_UNLIKELY(delta && bufs_[cur_].wpos == 0)) {
-        // Reserve flipped to a fresh half: its first record anchors the
-        // delta chain, so re-size as absolute and try again.
-        prev_ts_valid_ = false;
-        continue;
-      }
-      logwire::encode_put_to(dst, key, plans, ncols, version, ts_field,
-                             delta);
-      note_data_record(ts, need, need + saved, any_compressed);
-      publish(need);
-      return;
+  static size_t record_size(const BatchOp& op, const logwire::ColPlan* plans,
+                            size_t ncols, uint64_t ts_field) {
+    return op.remove ? logwire::remove_record_size(op.key, op.version, ts_field)
+                     : logwire::put_record_size(op.key, plans, ncols, op.version, ts_field);
+  }
+
+  static void encode_record(char* dst, const BatchOp& op, const logwire::ColPlan* plans,
+                            size_t ncols, uint64_t ts_field, bool delta) {
+    if (op.remove) {
+      logwire::encode_remove_to(dst, op.key, op.version, ts_field, delta);
+    } else {
+      logwire::encode_put_to(dst, op.key, plans, ncols, op.version, ts_field, delta);
     }
   }
 
@@ -683,15 +560,13 @@ class LogShard {
   inline void kick_writer();
   inline bool writer_stopped() const;
 
-  // Column-planning limits for the zero-allocation fast path: puts with
-  // more columns fall back to one heap plan array (counted like a jumbo),
-  // and compressed output beyond the scratch budget stays raw.
-  static constexpr size_t kMaxPlanCols = 16;
-  static constexpr size_t kCompressScratchBytes = 40 << 10;
   // Batch-append chunking: up to this many records share one grouped
-  // reservation, drawing column plans from one shared stack arena.
+  // reservation, drawing column plans from one shared stack arena (a record
+  // with more columns plans alone into one heap array, counted like a
+  // jumbo). Compressed output beyond the scratch budget stays raw.
   static constexpr size_t kBatchChunkRecords = 16;
   static constexpr size_t kBatchPlanCols = 64;
+  static constexpr size_t kCompressScratchBytes = 40 << 10;
 
   std::string path_;
   unsigned partition_;

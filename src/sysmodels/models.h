@@ -30,6 +30,7 @@
 #define MASSTREE_SYSMODELS_MODELS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -342,6 +343,7 @@ class MongoDBModel : public KVModel {
   bool get(std::string_view key, std::string* whole_value) override {
     Shard& s = shard(key);
     std::shared_lock<std::shared_mutex> lock(s.global_lock);
+    Holder held(s.readers, peak_readers_);
     busy_ns(opt_.bson_ns);
     auto it = s.docs.find(std::string(key));
     if (it == s.docs.end()) {
@@ -354,6 +356,7 @@ class MongoDBModel : public KVModel {
   bool put(std::string_view key, unsigned col, std::string_view data) override {
     Shard& s = shard(key);
     std::unique_lock<std::shared_mutex> lock(s.global_lock);  // global write lock
+    Holder held(s.writers, peak_writers_);
     busy_ns(opt_.bson_ns);
     std::string& doc = s.docs[std::string(key)];
     bool inserted = doc.empty();
@@ -375,6 +378,7 @@ class MongoDBModel : public KVModel {
     Shard& s = shard(key);  // start shard only; cross-shard merge omitted —
                             // the paper's MYCSB-E MongoDB number is ~0.
     std::shared_lock<std::shared_mutex> lock(s.global_lock);
+    Holder held(s.readers, peak_readers_);
     size_t count = 0;
     for (auto it = s.docs.lower_bound(std::string(key)); it != s.docs.end() && count < n;
          ++it, ++count) {
@@ -388,10 +392,30 @@ class MongoDBModel : public KVModel {
     return count;
   }
 
+  // The most readers / writers ever inside one instance's lock at once:
+  // the global write lock keeps writers at 1 while readers share.
+  int peak_readers() const { return peak_readers_.load(); }
+  int peak_writers() const { return peak_writers_.load(); }
+
  private:
   struct Shard {
     std::shared_mutex global_lock;
     std::map<std::string, std::string> docs;  // _id B-tree index
+    std::atomic<int> readers{0};  // current holders, counted inside the lock
+    std::atomic<int> writers{0};
+  };
+
+  // Counts one holder of a shard's lock while in scope and raises `peak`
+  // to the largest count seen.
+  struct Holder {
+    Holder(std::atomic<int>& now, std::atomic<int>& peak) : now_(now) {
+      int n = now_.fetch_add(1) + 1;
+      int p = peak.load();
+      while (n > p && !peak.compare_exchange_weak(p, n)) {
+      }
+    }
+    ~Holder() { now_.fetch_sub(1); }
+    std::atomic<int>& now_;
   };
   Shard& shard(std::string_view key) {
     return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
@@ -436,6 +460,8 @@ class MongoDBModel : public KVModel {
 
   Options opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<int> peak_readers_{0};
+  std::atomic<int> peak_writers_{0};
 };
 
 }  // namespace masstree

@@ -63,10 +63,11 @@ enum class Counter : unsigned {
                            //   cached slot's node (also counted as misses)
   kCacheEvictions,         // live entries displaced by CLOCK to admit a
                            //   hotter key (capacity pressure, not staleness)
-  kMultiputBatches,        // multiput batches executed (§4.8 write pipeline)
-  kMultiputRetries,        // multiput keys that fell back through the
-                           //   single-put path (suffix conflict, full-node
-                           //   split) or restarted after a dead layer
+  kMultiputBatches,        // multiput batches executed (§4.8 write pipeline;
+                           //   Store's one-op put/remove batches included)
+  kMultiputRetries,        // batched puts that left the fast apply: split a
+                           //   full border or created a layer (counted once
+                           //   per put), plus dead-layer restarts
   kNetBatchedPuts,         // puts/removes that reached Store::multiput via a
                            //   server batch formed across >= 2 request ops
                            //   (§6.1; the write-side cross-connection claim)

@@ -616,6 +616,78 @@ TEST(Logger, JumboRecordTakesSlowPathIntact) {
   EXPECT_EQ(puts[2]->key, "small-after");
 }
 
+// Every record kind that cannot share a chunk, in one append_batch call: a
+// put larger than both arena halves (jumbo), a put with more columns than
+// the stack plan arena (heap plan), plus a 20-column put, a remove and small
+// puts around them. All decode in span order with exact contents and
+// non-decreasing timestamps, and the only allocations are the two halves,
+// one jumbo encoding and one heap plan.
+TEST(Logger, MixedSlowPathsInOneBatch) {
+  std::string path = TempPath("logger_mixed_batch.bin");
+  std::remove(path.c_str());
+  std::vector<std::string> vals(70);
+  for (size_t c = 0; c < vals.size(); ++c) {
+    vals[c] = "col" + std::to_string(c);
+  }
+  auto columns = [&vals](size_t n) {
+    std::vector<ColumnUpdate> ups;
+    for (size_t c = 0; c < n; ++c) {
+      ups.push_back(ColumnUpdate{static_cast<unsigned>(c), vals[c]});
+    }
+    return ups;
+  };
+  const std::string jumbo(8 << 10, 'J');
+  const std::vector<ColumnUpdate> small_before = {{0, "x"}};
+  const std::vector<ColumnUpdate> big = {{0, jumbo}};
+  const std::vector<ColumnUpdate> cols20 = columns(20);
+  const std::vector<ColumnUpdate> cols70 = columns(70);
+  const std::vector<ColumnUpdate> small_after = {{3, "y"}};
+  const std::vector<LogShard::BatchOp> ops = {
+      {"small-before", small_before, false, 1}, {"jumbo", big, false, 2},
+      {"twenty", cols20, false, 3},             {"seventy", cols70, false, 4},
+      {"removed", {}, true, 5},                 {"small-after", small_after, false, 6},
+  };
+  ThreadCounters counters;
+  {
+    LogWriter::Options wopt;
+    wopt.fsync_on_flush = false;
+    LogWriter writer(wopt);
+    // 1 KiB halves hold the 20- and 70-column records but not the jumbo;
+    // compression off keeps the jumbo at its raw 8 KiB.
+    LogShard shard(path, 1 << 10, 0, &counters, /*compress_threshold=*/0);
+    writer.add_shard(&shard);
+    writer.start();
+    shard.append_batch(ops);
+    writer.stop();
+    EXPECT_EQ(shard.error(), 0);
+  }
+  EXPECT_EQ(counters.get(Counter::kLogAllocs), 2u + 1u + 1u);  // halves + jumbo + heap plan
+
+  std::vector<LogEntry> data;
+  for (LogEntry& e : read_log_file(path)) {
+    if (e.type == LogType::kPut || e.type == LogType::kRemove) {
+      data.push_back(std::move(e));
+    }
+  }
+  ASSERT_EQ(data.size(), ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE(ops[i].key);
+    EXPECT_EQ(data[i].key, ops[i].key);
+    EXPECT_EQ(data[i].version, ops[i].version);
+    EXPECT_EQ(data[i].type, ops[i].remove ? LogType::kRemove : LogType::kPut);
+    const std::span<const ColumnUpdate> want =
+        ops[i].remove ? std::span<const ColumnUpdate>() : ops[i].updates;
+    ASSERT_EQ(data[i].columns.size(), want.size());
+    for (size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(data[i].columns[c].first, want[c].col);
+      EXPECT_EQ(data[i].columns[c].second, want[c].data);
+    }
+    if (i > 0) {
+      EXPECT_GE(data[i].timestamp_us, data[i - 1].timestamp_us);
+    }
+  }
+}
+
 // A large-but-compressible value that would overflow a 1 KiB arena half raw
 // must compress onto the normal wait-free path: no jumbo allocation, exact
 // round-trip, and a file much smaller than the logical bytes.

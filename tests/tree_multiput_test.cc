@@ -36,21 +36,27 @@ std::string FreshDir(const std::string& name) {
 
 // Apply `reqs` via multiput to `batched` and one-by-one to `sequential`,
 // then assert both trees hold the same state and the batch reported the same
-// per-request inserted/found flags the sequential run produced.
-void expect_matches_sequential(Tree& batched, Tree& sequential,
+// per-request inserted/found flags the sequential run produced. Both trees
+// share apply_locked(), so `oracle` (a std::map shadow carried across calls)
+// replays the requests too, and every flag and both trees' full contents are
+// diffed against it as an independent reference.
+void expect_matches_sequential(Tree& batched, Tree& sequential, Oracle& oracle,
                                std::vector<Tree::PutRequest> reqs,
                                ThreadContext& ti, const char* context) {
   std::vector<Tree::PutRequest> seq = reqs;
   size_t seq_applied = 0;
   for (Tree::PutRequest& rq : seq) {
     uint64_t old = 0;
+    std::string key(rq.key);
     if (rq.remove) {
       rq.found = sequential.remove(rq.key, &old, ti);
       seq_applied += rq.found;
+      ASSERT_EQ(rq.found, oracle.note_remove(key)) << context << " key=" << key;
     } else {
       rq.inserted = sequential.insert(rq.key, rq.value, &old, ti);
       rq.found = !rq.inserted;
       ++seq_applied;
+      ASSERT_EQ(rq.inserted, oracle.note_insert(key, rq.value)) << context << " key=" << key;
     }
   }
   size_t applied = batched.multiput(std::span<Tree::PutRequest>(reqs), ti);
@@ -61,17 +67,8 @@ void expect_matches_sequential(Tree& batched, Tree& sequential,
     ASSERT_EQ(reqs[i].found, seq[i].found)
         << context << " i=" << i << " key=" << reqs[i].key;
   }
-  // Both trees agree key-for-key (batch may differ only in never-applied
-  // duplicate intermediates, which leave no state behind).
-  for (const Tree::PutRequest& rq : seq) {
-    uint64_t bv = 0, sv = 0;
-    bool bf = batched.get(rq.key, &bv, ti);
-    bool sf = sequential.get(rq.key, &sv, ti);
-    ASSERT_EQ(bf, sf) << context << " key=" << rq.key;
-    if (bf) {
-      ASSERT_EQ(bv, sv) << context << " key=" << rq.key;
-    }
-  }
+  test_support::check_tree_matches_oracle(batched, oracle, ti, context);
+  test_support::check_tree_matches_oracle(sequential, oracle, ti, context);
 }
 
 // A key mix that exercises every cursor state: short keys (end inside the
@@ -100,6 +97,7 @@ TEST(TreeMultiput, EmptyBatch) {
 TEST(TreeMultiput, MixedKeysMatchSequentialPuts) {
   ThreadContext ti;
   Tree batched(ti), sequential(ti);
+  Oracle oracle;
   std::vector<std::string> keys = mixed_keys(60);
 
   // Batch sizes below, at, and crossing the in-flight window. Every pass
@@ -114,7 +112,7 @@ TEST(TreeMultiput, MixedKeysMatchSequentialPuts) {
         reqs[i].key = keys[start + i];
         reqs[i].value = stamp++;
       }
-      expect_matches_sequential(batched, sequential, reqs, ti, "mixed");
+      expect_matches_sequential(batched, sequential, oracle, reqs, ti, "mixed");
     }
   }
   EXPECT_TRUE(test_support::rep_ok(batched));
@@ -123,6 +121,7 @@ TEST(TreeMultiput, MixedKeysMatchSequentialPuts) {
 TEST(TreeMultiput, MixedPutAndRemoveBatches) {
   ThreadContext ti;
   Tree batched(ti), sequential(ti);
+  Oracle oracle;
   Rng rng = seeded_rng(0x4D5052);  // "MPR"
   std::vector<std::string> keys = mixed_keys(40);
   for (int round = 0; round < 30; ++round) {
@@ -132,7 +131,7 @@ TEST(TreeMultiput, MixedPutAndRemoveBatches) {
       rq.value = rng.next();
       rq.remove = (rng.next() & 3) == 0;  // ~25% removes, often of absent keys
     }
-    expect_matches_sequential(batched, sequential, reqs, ti,
+    expect_matches_sequential(batched, sequential, oracle, reqs, ti,
                               ("round " + std::to_string(round)).c_str());
   }
   EXPECT_TRUE(test_support::rep_ok(batched));
