@@ -1,11 +1,12 @@
 // Google-benchmark micro-benchmarks for the primitive operations whose
 // costs the paper's design arguments rest on: slice encoding (§4.2),
 // permutation updates (§4.6.2), in-node search (§4.8), version protocol
-// (§4.5), row copy-on-write (§4.7), epoch entry (§4.6.1), and the Zipfian
-// generator (§7).
+// (§4.5), row copy-on-write (§4.7), epoch entry (§4.6.1), the log's
+// CRC and LZ codec (§5), and the Zipfian generator (§7).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/version.h"
 #include "key/keyslice.h"
 #include "util/crc32.h"
+#include "util/lz.h"
 #include "util/rand.h"
 #include "value/row.h"
 #include "workload/keys.h"
@@ -152,6 +154,60 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096);
+
+// A log value of `n` bytes shaped like kvbench's: an 8-byte binary header,
+// then JSON records over a small vocabulary.
+std::string JsonishValue(size_t n) {
+  static constexpr const char* kWords[] = {"alpha", "bravo", "charlie", "delta",
+                                           "echo",  "foxtrot", "golf",  "hotel"};
+  Rng rng(n);
+  std::string s;
+  for (int i = 0; i < 8; ++i) {
+    s += static_cast<char>(rng.next());
+  }
+  while (s.size() < n) {
+    char rec[128];
+    int len = std::snprintf(rec, sizeof(rec),
+                            "{\"id\":%u,\"name\":\"%s\",\"tags\":[\"%s\",\"%s\"],\"score\":%u},",
+                            static_cast<unsigned>(rng.next() % 100000), kWords[rng.next() % 8],
+                            kWords[rng.next() % 8], kWords[rng.next() % 8],
+                            static_cast<unsigned>(rng.next() % 1000));
+    s.append(rec, static_cast<size_t>(len));
+  }
+  s.resize(n);
+  return s;
+}
+
+// The log's calling convention: dst_cap = n - 1, so an incompressible
+// value bails out instead of expanding.
+void BM_LzCompress(benchmark::State& state) {
+  std::string raw = JsonishValue(static_cast<size_t>(state.range(0)));
+  std::string out(raw.size() - 1, '\0');
+  size_t csize = 0;
+  for (auto _ : state) {
+    csize = lz::compress(raw.data(), raw.size(), out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.counters["ratio"] = csize == 0 ? 1.0 : static_cast<double>(raw.size()) / csize;
+}
+BENCHMARK(BM_LzCompress)->Arg(1024)->Arg(4096);
+
+void BM_LzDecompress(benchmark::State& state) {
+  std::string raw = JsonishValue(static_cast<size_t>(state.range(0)));
+  std::string comp(lz::compress_bound(raw.size()), '\0');
+  comp.resize(lz::compress(raw.data(), raw.size(), comp.data(), comp.size()));
+  std::string out(raw.size(), '\0');
+  for (auto _ : state) {
+    bool ok = lz::decompress(comp.data(), comp.size(), out.data(), out.size());
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_LzDecompress)->Arg(1024)->Arg(4096);
 
 void BM_ZipfianNext(benchmark::State& state) {
   Zipfian z(1000000, 0.99, 3);

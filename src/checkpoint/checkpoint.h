@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "util/crc32.h"
+#include "util/file.h"
 #include "util/io.h"
 #include "util/lz.h"
 #include "util/varint.h"
@@ -393,11 +394,7 @@ inline void read_records(const std::string& data, size_t pos,
 // version throws instead — fail-stop beats silently restoring nothing.
 inline std::vector<CheckpointRecord> read_checkpoint_part(const std::string& path) {
   std::vector<CheckpointRecord> out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return out;
-  }
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::string data = read_whole_file(path);
   if (data.size() < 5 || std::memcmp(data.data(), kCkptMagic, 4) != 0) {
     return out;
   }

@@ -24,12 +24,12 @@
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "log/logrecord.h"
+#include "util/file.h"
 #include "util/io.h"
 #include "util/timing.h"
 
@@ -39,12 +39,7 @@ namespace masstree {
 // corrupt tail). Missing files read as empty.
 inline std::vector<LogEntry> read_log_file(const std::string& path) {
   std::vector<LogEntry> out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return out;
-  }
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  logwire::decode_all(data, &out);
+  logwire::decode_all(read_whole_file(path), &out);
   return out;
 }
 

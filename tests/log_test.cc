@@ -22,6 +22,7 @@
 #include "log/logger.h"
 #include "log/logrecord.h"
 #include "log/recovery.h"
+#include "util/file.h"
 #include "util/lz.h"
 #include "util/varint.h"
 
@@ -30,12 +31,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 // ---------------- wire format ----------------
@@ -349,7 +344,7 @@ TEST(LogRecord, HeaderlessStartHasNoRecords) {
     writer.start();
     shard.append_put("first", {{0, "value"}}, 1);
     writer.sync();
-    std::string bytes = ReadFileBytes(path);
+    std::string bytes = read_whole_file(path);
     ASSERT_GE(bytes.size(), logwire::kHeaderSize);
     EXPECT_EQ(bytes.substr(0, 4), "MTLG");
     EXPECT_EQ(bytes[4], '\x02');
@@ -770,7 +765,7 @@ TEST(Logger, TruncateRendezvousesWithInFlightFlush) {
     log.sync();
     EXPECT_EQ(log.error(), 0);
   }
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = read_whole_file(path);
   std::vector<LogEntry> entries;
   // Every surviving byte must decode: no shear, no corruption.
   ASSERT_EQ(logwire::decode_all(bytes, &entries), bytes.size());
@@ -864,7 +859,7 @@ TEST(LogWriterStress, ConcurrentAppendSyncTruncate) {
   writer.stop();  // drains phase 2, stamps kClose everywhere
 
   for (unsigned t = 0; t < kThreads; ++t) {
-    std::string bytes = ReadFileBytes(paths[t]);
+    std::string bytes = read_whole_file(paths[t]);
     std::vector<LogEntry> entries;
     ASSERT_EQ(logwire::decode_all(bytes, &entries), bytes.size()) << paths[t];
     ASSERT_FALSE(entries.empty());
@@ -913,7 +908,7 @@ TEST(LogWriterStress, TornTailRepairThenAppend) {
     }
     log.sync();
   }
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes = read_whole_file(path);
   std::vector<LogEntry> all;
   logwire::decode_all(bytes, &all);
   ASSERT_GE(all.size(), 50u);
@@ -1125,6 +1120,21 @@ TEST(Recovery, EmptyLogDoesNotZeroCutoff) {
 TEST(Recovery, MissingFilesReadEmpty) {
   auto entries = read_log_file(TempPath("does_not_exist.bin"));
   EXPECT_TRUE(entries.empty());
+}
+
+// read_whole_file sizes its buffer from fstat: sizes around a page and one
+// well past it must come back byte-exact, with no byte lost or added.
+TEST(Recovery, WholeFileReadsAreByteExact) {
+  std::string p = TempPath("whole_file.bin");
+  for (size_t n : {0, 1, 4095, 4096, 4097, 200003}) {
+    std::string bytes(n, '\0');
+    for (size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<char>(i * 131 + n);
+    }
+    std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_EQ(read_whole_file(p), bytes) << "n=" << n;
+  }
+  EXPECT_EQ(read_whole_file(TempPath("does_not_exist.bin")), "");
 }
 
 TEST(Recovery, ListLogFilesFindsStoreNames) {

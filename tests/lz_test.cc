@@ -1,12 +1,17 @@
 // In-repo LZ4-block-style compressor tests: round-trips across value
-// shapes (compressible, incompressible, pathological repeats), an
-// every-size sweep, and fuzz-style safety of the bounded decoder against
-// truncated and bit-flipped input (it must fail cleanly, never read or
-// write out of bounds — the ASan/UBSan lanes enforce the "never").
+// shapes (compressible, incompressible, pathological repeats, inputs past
+// the 64 KiB offset reach), an every-size sweep, the word-wise match
+// extension's end-of-input boundary, format compatibility with a stream
+// from the earlier compressor, a ratio floor on JSON-ish log values, and
+// fuzz-style safety of the bounded decoder against truncated and
+// bit-flipped input (it must fail cleanly, never read or write out of
+// bounds — the ASan/UBSan lanes enforce the "never").
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -119,6 +124,174 @@ TEST(Lz, EverySmallSizeSweep) {
     }
     EXPECT_EQ(RoundTrip(rnd), rnd) << "random n=" << n;
   }
+}
+
+// A repeat that runs to exactly n - k, for every k: the forward match
+// extension compares 8 bytes at a time up to the last 5 bytes, so every
+// alignment of the repeat's end against that limit must still round-trip.
+TEST(Lz, RepeatEndingAtEveryDistanceFromTheEnd) {
+  Rng rng;
+  for (size_t n = 0; n <= 600; ++n) {
+    std::string base(n, '\0');
+    for (auto& c : base) {
+      c = static_cast<char>(rng.next());
+    }
+    for (size_t k = 0; k <= n; ++k) {
+      size_t dist = 1 + (n + k) % 40;
+      size_t end = n - k;
+      std::string raw = base;
+      for (size_t j = dist; j < end; ++j) {
+        raw[j] = raw[j - dist];
+      }
+      if (k > 0 && end >= dist) {
+        raw[end] = static_cast<char>(raw[end - dist] ^ 1);
+      }
+      ASSERT_EQ(RoundTrip(raw), raw) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// Over 64 KiB: positions past 0xffff, and a repeat that lies beyond the
+// 2-byte offset's reach must not be taken.
+TEST(Lz, LargeInputs) {
+  Rng rng;
+  std::string far(128 << 10, '\0');
+  for (auto& c : far) {
+    c = static_cast<char>(rng.next());
+  }
+  far.append(far, 0, 80 << 10);  // the only repeat: 128 KiB back
+  ASSERT_GE(far.size(), 200u << 10);
+  EXPECT_EQ(RoundTrip(far), far);
+  std::string tight(far.size() - 1, '\0');
+  EXPECT_EQ(lz::compress(far.data(), far.size(), tight.data(), tight.size()),
+            0u);
+
+  std::string mixed;
+  while (mixed.size() < (1u << 20)) {
+    size_t run = 16 + rng.next() % 4000;
+    switch (rng.next() % 3) {
+      case 0:  // random bytes
+        for (size_t i = 0; i < run; ++i) {
+          mixed += static_cast<char>(rng.next());
+        }
+        break;
+      case 1:  // a byte run
+        mixed.append(run, static_cast<char>(rng.next()));
+        break;
+      default:  // a copy from up to ~96 KiB back
+        if (!mixed.empty()) {
+          size_t from = mixed.size() - 1 - rng.next() % std::min<size_t>(
+                                                      mixed.size(), 96 << 10);
+          for (size_t i = 0; i < run; ++i) {
+            mixed += mixed[from + i];
+          }
+        }
+    }
+  }
+  mixed.resize(1u << 20);
+  bool compressed = false;
+  EXPECT_EQ(RoundTrip(mixed, &compressed), mixed);
+  EXPECT_TRUE(compressed);
+}
+
+// The input kGoldenStream encodes: JSON-ish records (short matches at
+// many offsets), a literal run past 15 bytes, and a 300-byte run (an
+// overlapping offset-1 match with 255-extension length bytes).
+std::string GoldenInput() {
+  std::string s;
+  for (int i = 0; i < 12; ++i) {
+    s += "{\"id\":" + std::to_string(1000 + i * 37) + ",\"name\":\"" +
+         (i % 3 != 0 ? "bravo" : "alpha") + "\"},";
+  }
+  Rng rng;
+  for (int i = 0; i < 40; ++i) {
+    s += static_cast<char>('a' + rng.next() % 26);
+  }
+  s += std::string(300, '=');
+  s += "tail";
+  return s;
+}
+
+// GoldenInput() as compressed by the earlier compressor (two candidates
+// per hash bucket), the one that wrote every log and checkpoint before
+// the current match finder: files it wrote must still read.
+constexpr uint8_t kGoldenStream[] = {
+    0xf4, 0x0c, 0x7b, 0x22, 0x69, 0x64, 0x22, 0x3a, 0x31, 0x30, 0x30, 0x30,
+    0x2c, 0x22, 0x6e, 0x61, 0x6d, 0x65, 0x22, 0x3a, 0x22, 0x61, 0x6c, 0x70,
+    0x68, 0x61, 0x22, 0x7d, 0x2c, 0x1b, 0x00, 0x25, 0x33, 0x37, 0x1b, 0x00,
+    0x57, 0x62, 0x72, 0x61, 0x76, 0x6f, 0x1b, 0x00, 0x2f, 0x37, 0x34, 0x1b,
+    0x00, 0x05, 0x35, 0x31, 0x31, 0x31, 0x1b, 0x00, 0x0b, 0x51, 0x00, 0x3f,
+    0x31, 0x34, 0x38, 0x36, 0x00, 0x06, 0x2f, 0x38, 0x35, 0x1b, 0x00, 0x05,
+    0x35, 0x32, 0x32, 0x32, 0x1b, 0x00, 0x0b, 0x51, 0x00, 0x3f, 0x32, 0x35,
+    0x39, 0x36, 0x00, 0x06, 0x2f, 0x39, 0x36, 0x1b, 0x00, 0x05, 0x35, 0x33,
+    0x33, 0x33, 0x1b, 0x00, 0x0b, 0x51, 0x00, 0x26, 0x33, 0x37, 0x0e, 0x01,
+    0x0b, 0xf3, 0x00, 0x2e, 0x34, 0x30, 0x0e, 0x01, 0xff, 0x1a, 0x6c, 0x6b,
+    0x6b, 0x79, 0x6d, 0x68, 0x64, 0x6d, 0x64, 0x73, 0x72, 0x7a, 0x6e, 0x67,
+    0x76, 0x68, 0x6d, 0x6e, 0x62, 0x70, 0x6c, 0x6a, 0x6b, 0x73, 0x66, 0x65,
+    0x70, 0x6e, 0x68, 0x6a, 0x70, 0x6e, 0x75, 0x61, 0x6a, 0x77, 0x75, 0x74,
+    0x6e, 0x71, 0x3d, 0x01, 0x00, 0xff, 0x18, 0x50, 0x3d, 0x74, 0x61, 0x69,
+    0x6c,
+};
+
+TEST(Lz, DecodesStreamFromEarlierCompressor) {
+  std::string raw = GoldenInput();
+  std::string back(raw.size(), '\0');
+  ASSERT_TRUE(lz::decompress(kGoldenStream, sizeof(kGoldenStream), back.data(),
+                             back.size()));
+  EXPECT_EQ(back, raw);
+  bool compressed = false;
+  EXPECT_EQ(RoundTrip(raw, &compressed), raw);
+  EXPECT_TRUE(compressed);
+}
+
+// 1 KiB values shaped like kvbench's: an 8-byte binary header, then
+// JSON records drawn from a small vocabulary.
+std::string JsonValue(Rng& rng, size_t size) {
+  static constexpr const char* kWords[] = {"alpha", "bravo",   "charlie",
+                                           "delta", "echo",    "foxtrot",
+                                           "golf",  "hotel"};
+  std::string s;
+  for (int i = 0; i < 8; ++i) {
+    s += static_cast<char>(rng.next());
+  }
+  while (s.size() < size) {
+    char rec[128];
+    int n = std::snprintf(
+        rec, sizeof(rec),
+        "{\"id\":%u,\"name\":\"%s\",\"tags\":[\"%s\",\"%s\"],\"score\":%u},",
+        static_cast<unsigned>(rng.next() % 100000), kWords[rng.next() % 8],
+        kWords[rng.next() % 8], kWords[rng.next() % 8],
+        static_cast<unsigned>(rng.next() % 1000));
+    s.append(rec, static_cast<size_t>(n));
+  }
+  s.resize(size);
+  return s;
+}
+
+// The earlier compressor's aggregate ratio on the values below; the match
+// finder may trade ratio for speed, but by no more than 5%.
+constexpr double kEarlierJsonRatio = 2.285;
+
+TEST(Lz, JsonValueRatioFloor) {
+  Rng rng;
+  size_t raw_bytes = 0, stored_bytes = 0;
+  for (int v = 0; v < 64; ++v) {
+    std::string raw = JsonValue(rng, 1024);
+    // The log's calling convention: dst_cap = n - 1, 0 means stored raw.
+    std::string comp(raw.size() - 1, '\0');
+    size_t csize =
+        lz::compress(raw.data(), raw.size(), comp.data(), comp.size());
+    ASSERT_GT(csize, 0u);
+    std::string back(raw.size(), '\0');
+    ASSERT_TRUE(lz::decompress(comp.data(), csize, back.data(), back.size()));
+    ASSERT_EQ(back, raw);
+    raw_bytes += raw.size();
+    stored_bytes += csize;
+  }
+  double ratio = static_cast<double>(raw_bytes) / stored_bytes;
+  std::printf("json 1 KiB ratio %.4f (earlier compressor %.4f)\n", ratio,
+              kEarlierJsonRatio);
+  EXPECT_GE(ratio, 0.95 * kEarlierJsonRatio);
 }
 
 TEST(Lz, DecoderRejectsTruncatedInput) {
