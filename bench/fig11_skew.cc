@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "baselines/partitioned.h"
@@ -97,14 +99,15 @@ int main() {
   // ---- Zipf θ sweep: the record-cache scoreboard ---------------------
   // Three lines over YCSB-style per-key Zipfian skew (θ=0 is the uniform
   // baseline): the plain shared tree, the shared tree fronted by the record
-  // cache, and the cache with partition-affinity routing modeled in-process —
-  // worker t serves only the keys hashing to it (the epoll server's
-  // route_worker function), so a hot key's cache entry stays on one core.
+  // cache, and the cache behind hash-partitioned request streams modeled
+  // in-process — worker t serves only the keys hashing to it (the
+  // partitioned baseline's router hash), so a hot key's cache entry stays on
+  // one core. The served path has no such partitioning.
   std::vector<std::string> all_keys(e.keys);
   std::vector<uint8_t> owner(e.keys);
   for (uint64_t i = 0; i < e.keys; ++i) {
     all_keys[i] = decimal_key(i);
-    owner[i] = static_cast<uint8_t>(key_hash64(all_keys[i]) % e.threads);
+    owner[i] = static_cast<uint8_t>(std::hash<std::string_view>{}(all_keys[i]) % e.threads);
   }
   // Capacity default: large enough for the hot set at θ≈1, small enough that
   // the probe table stays cache-resident — a table bigger than LLC makes
@@ -122,9 +125,8 @@ int main() {
   // Request streams are pregenerated OUTSIDE the timed region: a Zipfian draw
   // costs two pow() calls, which would otherwise dominate the loop and dilute
   // the tree-side difference the figure is about. All three lines of a theta
-  // share one stream; the routed line partitions it by owning worker up front
-  // (the epoll server's steering, minus the wire), so every line executes
-  // exactly `requests_total` gets.
+  // share one stream; the routed line hash-partitions it by owning worker up
+  // front, so every line executes exactly `requests_total` gets.
   std::vector<uint32_t> stream(requests_total);
   std::vector<std::vector<uint32_t>> owned(e.threads);
 

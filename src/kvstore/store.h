@@ -57,11 +57,11 @@ class Store {
     // ("Different logs may be on different disks or SSDs for higher total
     // log throughput").
     unsigned log_partitions = 4;
-    // Per-shard buffering and group-commit cadence.
+    // Per-shard buffering, group-commit cadence, and the compression
+    // threshold: values of logger.compress_threshold bytes or more are
+    // lz-compressed transparently in both the log and checkpoint parts
+    // (0 disables compression).
     Logger::Options logger;
-    // Values this size or larger are lz-compressed transparently in both
-    // the log and checkpoint parts (0 disables compression).
-    size_t log_compress_threshold = 128;
     // Dedicated background maintenance & epoch-advancement thread (§4.6.1,
     // §4.6.5): empty-layer GC and epoch advances leave the foreground write
     // path entirely. When disabled, both piggyback on write traffic as
@@ -294,8 +294,8 @@ class Store {
     // Out: as-if-sequential results (see above).
     bool inserted = false;
     bool found = false;
-    // Out: refused because the store is read-only (never throws — the flag
-    // travels back through the server's steering paths instead).
+    // Out: refused because the store is read-only (never throws — the server
+    // answers the flag with kReadOnly instead).
     bool rejected = false;
   };
 
@@ -431,7 +431,7 @@ class Store {
       workers.emplace_back([&, w] {
         ThreadContext ti;
         CheckpointPartWriter out(checkpoint_part_path(dir, m.start_ts_us, w),
-                                 opt_.log_compress_threshold);
+                                 opt_.logger.compress_threshold);
         if (!out.ok()) {
           ok = false;
           // A part header that failed to hit the disk (short write, EIO,
@@ -786,7 +786,7 @@ class Store {
     std::string path = log_path(opt_.log_dir, next_log_file_++);
     log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
                                                      part, &s.ti_.counters(),
-                                                     opt_.log_compress_threshold));
+                                                     opt_.logger.compress_threshold));
     LogShard* fresh = log_shards_.back().get();
     log_writers_[part]->add_shard(fresh);
     return fresh;
@@ -804,7 +804,7 @@ class Store {
       unsigned part = idx % static_cast<unsigned>(log_writers_.size());
       log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
                                                        part, nullptr,
-                                                       opt_.log_compress_threshold));
+                                                       opt_.logger.compress_threshold));
       LogShard* shard = log_shards_.back().get();
       shard->park_adopted();
       log_writers_[part]->add_shard(shard);

@@ -20,9 +20,9 @@
 //      batch, driven through Store::multiput (§4.8/PALM — both pipelined
 //      paths apply to independent network clients, not just in-process
 //      callers), while scans interleave inline. Reads and writes share one
-//      batch pipeline — run formation, chunking, affinity steering, the
-//      cross-worker mailbox — parameterized by op kind (Worker::Reads /
-//      Worker::Writes). Each connection still sees its own ops execute in
+//      batch pipeline — run formation and chunking — parameterized by op
+//      kind (Worker::Reads / Worker::Writes), and every chunk runs on the
+//      worker's own session. Each connection still sees its own ops execute in
 //      order: a connection contributes exactly one run per round, and
 //      within a round its reads execute before its next write would
 //      (read-your-writes per connection holds),
@@ -31,9 +31,12 @@
 //      re-arm and an rx pause above the tx high-water mark — never a blocked
 //      worker thread, never an unbounded buffer.
 //
-// The listener is itself routed through worker 0's epoll set, so accept()
-// never blocks anywhere: stop() wakes every worker via its eventfd, joins,
-// and only then closes the listen fd (no acceptor thread can race the close).
+// The listener lives in worker 0's epoll set, so accept() never blocks
+// anywhere. Worker 0 deals accepted connections round-robin; a connection
+// then stays on its worker for life, and every worker serves any key from
+// the one shared tree (Figure 11 — no key->worker partitioning). stop() wakes
+// every worker via its eventfd, joins, and only then closes the listen fd
+// (no acceptor thread can race the close).
 //
 // Scans execute inline through StoreT::getrange, which drives the engine's
 // snapshot-batched ScanCursor (§3) — the other batch entry point.
@@ -60,7 +63,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/record_cache.h"  // key_hash64: shared with the record cache
 #include "kvstore/store.h"
 #include "net/framing.h"
 #include "net/proto.h"
@@ -115,13 +117,6 @@ class BasicServer {
     // that connection until the client drains it below half the mark. Other
     // connections on the worker are unaffected.
     size_t tx_highwater = 1 << 20;
-    // Partition-affinity routing (Figure 11 / the MaxScale-style ROADMAP
-    // item): a connection migrates to the worker owning
-    // hash(first key) % workers on its first keyed frame, and kMultiGet keys
-    // are steered per key to their owners' sessions, so a hot key's tree
-    // cache lines and record-cache bucket are touched by one core. The tree
-    // underneath stays shared — no partitioning load-imbalance cliff.
-    bool affinity_routing = false;
     // Idle-connection reaping (the slow-loris guard): a connection that has
     // not delivered a complete frame for this many milliseconds is closed by
     // its worker's periodic sweep (counted by Counter::kNetIdleReaped). A
@@ -205,24 +200,6 @@ class BasicServer {
   uint64_t batched_puts() const { return load(stats_[kWriteKind].batched); }
   uint64_t wbatches_formed() const { return load(stats_[kWriteKind].batches); }
 
-  // ---- partition-affinity routing ------------------------------------
-  // The ownership function. Same hash as the record cache's buckets
-  // (cache/record_cache.h), so the worker a key routes to also owns the
-  // cache traffic for that key.
-  static unsigned route_worker(std::string_view key, unsigned nworkers) {
-    return nworkers <= 1 ? 0 : static_cast<unsigned>(key_hash64(key) % nworkers);
-  }
-  unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
-  // Keyed ops whose tree/store work ran on worker w's session: scans,
-  // locally-executed batch items, and steered items it drained from its
-  // mailbox. The affinity tests' observable.
-  uint64_t keyed_ops(unsigned w) const {
-    return workers_[w]->keyed.load(std::memory_order_relaxed);
-  }
-  // Batched-read keys / batched-write ops shipped to their owning worker's
-  // session.
-  uint64_t steered_gets() const { return load(stats_[kReadKind].steered); }
-  uint64_t steered_puts() const { return load(stats_[kWriteKind].steered); }
   // Connections closed by the idle sweep (Options::idle_timeout_ms).
   uint64_t idle_reaped() const { return load(idle_reaped_); }
 
@@ -237,7 +214,6 @@ class BasicServer {
   struct KindStats {
     std::atomic<uint64_t> batched{0};  // items in batches of >= 2 request ops
     std::atomic<uint64_t> batches{0};  // such batches
-    std::atomic<uint64_t> steered{0};  // items shipped to their owner worker
   };
 
   struct Conn {
@@ -253,7 +229,6 @@ class BasicServer {
     bool paused = false;       // rx interest dropped (tx over high water)
     bool queued = false;       // already on this wakeup's ready list
     bool dead = false;         // fd closed; reaped at end of wakeup
-    bool routed = false;       // affinity decision made; stays on this worker
     uint64_t last_active_ns = 0;  // last complete frame (or adoption time)
   };
 
@@ -294,19 +269,6 @@ class BasicServer {
     uint32_t n;
   };
 
-  // One steered slice of a formed batch: the owning worker runs `n` items
-  // through its own session with its kind's store call (`run`), writes the
-  // n results, then bumps *done (release; the spinning origin's acquire
-  // load makes the result writes visible).
-  struct Worker;
-  struct RemoteJob {
-    void (*run)(Worker& w, void* items, void* results, size_t n);
-    void* items;
-    void* results;
-    size_t n;
-    std::atomic<uint32_t>* done;
-  };
-
   struct Worker {
     Worker(BasicServer& server, unsigned id)
         : server(server), id(id), session(server.store_, id) {
@@ -327,8 +289,8 @@ class BasicServer {
           ::close(c->fd);
         }
       }
-      for (auto& p : pending) {
-        ::close(p.fd);  // handed off but never adopted (shutdown won the race)
+      for (int fd : pending) {
+        ::close(fd);  // handed off but never adopted (shutdown won the race)
       }
       ::close(wakefd);
       ::close(epfd);
@@ -341,13 +303,11 @@ class BasicServer {
       ::epoll_ctl(epfd, EPOLL_CTL_ADD, lfd, &ev);
     }
 
-    // Cross-thread handoff of a connection: a freshly-accepted fd (from the
-    // accepting worker), or an affinity migration arriving with its
-    // unconsumed rx bytes.
-    void add_connection(int fd, std::string carry = std::string(), bool routed = false) {
+    // Cross-thread handoff of a freshly-accepted fd from the accepting worker.
+    void add_connection(int fd) {
       {
         std::lock_guard<std::mutex> lock(mu);
-        pending.push_back(PendingConn{fd, std::move(carry), routed});
+        pending.push_back(fd);
       }
       wake();
     }
@@ -388,7 +348,6 @@ class BasicServer {
           if (p == &wake_tag) {
             drain_wake();
             adopt_pending();
-            drain_jobs();
             continue;
           }
           if (p == &listen_tag) {
@@ -420,10 +379,6 @@ class BasicServer {
         reap();
         reap_idle();
       }
-      // Steered work may have been shipped to us as we were exiting; finish
-      // it so origins spinning on it can stop. (They also steal unstarted
-      // jobs back once stopping_ is set — this is the cooperative half.)
-      drain_jobs();
     }
 
    private:
@@ -456,19 +411,18 @@ class BasicServer {
         std::lock_guard<std::mutex> lock(mu);
         adopted.swap(pending);
       }
-      for (PendingConn& p : adopted) {
-        adopt(p.fd, std::move(p.carry), p.routed);
+      for (int fd : adopted) {
+        adopt(fd);
       }
     }
 
-    void adopt(int fd, std::string carry = std::string(), bool routed = false) {
+    void adopt(int fd) {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto c = std::make_unique<Conn>();
       c->fd = fd;
       c->idx = conns.size();
       c->events = EPOLLIN;
-      c->routed = routed;
       c->last_active_ns = now_ns();
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -477,16 +431,7 @@ class BasicServer {
         ::close(fd);
         return;
       }
-      if (!carry.empty()) {
-        // A migrated connection arrives with every unconsumed rx byte —
-        // complete frames first in line, any trailing partial frame resumed
-        // by the decoder — so per-connection op order survives the move.
-        c->rx.append(carry);
-      }
       conns.push_back(std::move(c));
-      if (conns.back()->rx.size() > 0) {
-        queue_ready(conns.back().get());  // run the carried frames this wakeup
-      }
     }
 
     // ---- per-connection IO ---------------------------------------------
@@ -861,38 +806,11 @@ class BasicServer {
           continue;  // round full; the post-execute sweep re-queues c
         }
         uint32_t begin = static_cast<uint32_t>(ops.size());
-        size_t cols_mark = cols_pool.size();
-        size_t upd_mark = upd_pool.size();
-        size_t keys_mark = keys_pool.size();
-        size_t wcnt_mark = wcnt_pool.size();
         c->parsed = parse_frames(c);
         if (c->parsed > 0) {
           // Only a COMPLETE frame counts as liveness; bytes trickling in
           // below a frame boundary never refresh the idle clock.
           c->last_active_ns = now_ns();
-        }
-        if (server.opt_.affinity_routing && !c->routed && !c->proto_error &&
-            !c->eof && server.workers_.size() > 1 && ops.size() > begin) {
-          unsigned owner;
-          if (first_keyed_owner(begin, &owner)) {
-            if (owner == id) {
-              c->routed = true;  // landed right; never re-examine
-            } else {
-              // Re-steer the whole connection to its first key's owner: roll
-              // the parse back, unhook the fd WITHOUT closing it, and ship
-              // it (plus every unconsumed rx byte) to the owner.
-              ops.resize(begin);
-              cols_pool.resize(cols_mark);
-              upd_pool.resize(upd_mark);
-              keys_pool.resize(keys_mark);
-              wcnt_pool.resize(wcnt_mark);
-              c->parsed = 0;
-              migrate(c, owner);
-              continue;
-            }
-          }
-          // No keyed op yet (pings / empty frames): execute locally and keep
-          // the connection unrouted until a keyed frame shows up.
         }
         if (ops.size() > begin) {
           works.push_back(ConnWork{c, begin, static_cast<uint32_t>(ops.size()), false, 0});
@@ -927,39 +845,6 @@ class BasicServer {
       }
     }
 
-    // Scans this connection's freshly-parsed ops for the first one naming a
-    // key and reports that key's owning worker. False if none do (pings).
-    bool first_keyed_owner(uint32_t begin, unsigned* owner) const {
-      for (size_t i = begin; i < ops.size(); ++i) {
-        const ParsedOp& p = ops[i];
-        if (p.empty_frame || p.op == NetOp::kPing) {
-          continue;
-        }
-        std::string_view key = p.key;
-        if (p.op == NetOp::kMultiGet || p.op == NetOp::kMultiPut) {
-          if (p.keys_cnt == 0) {
-            continue;
-          }
-          key = keys_pool[p.keys_off];
-        }
-        *owner = route_worker(key, static_cast<unsigned>(server.workers_.size()));
-        return true;
-      }
-      return false;
-    }
-
-    // Hand the connection to `owner`: the fd leaves our epoll set unclosed,
-    // and the dead local Conn is reaped at end of wakeup. The carry string
-    // is the one allocation a migration costs, paid once per connection.
-    void migrate(Conn* c, unsigned owner) {
-      ::epoll_ctl(epfd, EPOLL_CTL_DEL, c->fd, nullptr);
-      int fd = c->fd;
-      std::string carry(c->rx.view());
-      c->dead = true;  // fd ownership transfers; dtor must not close it
-      dying.push_back(c);
-      server.workers_[owner]->add_connection(fd, std::move(carry), /*routed=*/true);
-    }
-
     bool has_complete_frame(const Conn* c) const {
       std::string_view body;
       size_t flen = 0;
@@ -970,19 +855,15 @@ class BasicServer {
     // ---- the two op kinds -------------------------------------------------
     // Everything the shared batch pipeline below does not know about an op
     // kind: which ops it batches, the items an op contributes, the per-item
-    // result, the store call, and the response encoding. Run formation,
-    // chunking, affinity steering, the mailbox, and the shutdown steal-back
-    // are one code path for both.
+    // result, the store call, and the response encoding. Run formation and
+    // chunking are one code path for both.
     struct Reads {
       static constexpr OpKind kKind = kReadKind;
       static constexpr Counter kBatchedCounter = Counter::kNetBatchedGets;
       using Item = std::string_view;  // the key
       using Result = const Row*;      // nullptr = absent
       // Rows are epoch-protected pointers: a chunk stays pinned from the
-      // store call (or the steering wait) until its responses are encoded.
-      // A steered row is safe too: any row its owner could still reach was
-      // retired no earlier than one epoch before our pin, and reclaim frees
-      // only two epochs past the retire.
+      // store call until its responses are encoded.
       struct Pin : EpochGuard {
         explicit Pin(Worker& w) : EpochGuard(w.session.ti().slot()) {}
       };
@@ -990,7 +871,6 @@ class BasicServer {
       static bool handles(NetOp op) {
         return op == NetOp::kGet || op == NetOp::kMultiGet;
       }
-      static std::string_view key(const Item& k) { return k; }
 
       static void push(Worker& w, const ParsedOp& p, std::vector<Item>& items) {
         if (p.op == NetOp::kGet) {
@@ -1002,7 +882,6 @@ class BasicServer {
       }
 
       static void run(Worker& w, std::span<Item> keys, Result* rows) {
-        EpochGuard guard(w.session.ti().slot());  // a mailbox job pins itself
         w.server.store_.multiget_rows(keys, rows, w.session);
       }
 
@@ -1046,7 +925,6 @@ class BasicServer {
       static bool handles(NetOp op) {
         return op == NetOp::kPut || op == NetOp::kRemove || op == NetOp::kMultiPut;
       }
-      static std::string_view key(const Item& op) { return op.key; }
 
       // The update spans point into upd_pool, which is append-only until the
       // round executes.
@@ -1074,10 +952,7 @@ class BasicServer {
       // kPut: status 0 + inserted; kRemove: status 0 or kNotFound; kMultiPut:
       // status 0 + count-prefixed inserted flags. An op the store refused
       // because it had degraded to read-only answers kReadOnly and no
-      // payload — the connection lives on, and its reads keep working. A
-      // kMultiPut entry steered to a worker whose multiput ran before the
-      // trip may have applied; the wire still reports the refusal (kReadOnly
-      // is a degraded mode, not a transaction abort).
+      // payload — the connection lives on, and its reads keep working.
       static void encode(Worker&, netframe::TxRing& tx, const ParsedOp& p,
                          const Result* res, uint32_t n) {
         for (uint32_t i = 0; i < n; ++i) {
@@ -1101,17 +976,12 @@ class BasicServer {
       }
     };
 
-    // A kind's formed batch for one round, plus its steering scratch.
+    // A kind's formed batch for one round.
     template <typename Kind>
     struct Batch {
       std::vector<BatchRef> refs;
       std::vector<typename Kind::Item> items;
       std::vector<typename Kind::Result> results;
-      // Per-owner steering scratch; job pointers point into these, which
-      // stay stable until every job's done counter is bumped.
-      std::vector<std::vector<typename Kind::Item>> steer_items;
-      std::vector<std::vector<typename Kind::Result>> steer_results;
-      std::vector<std::vector<uint32_t>> steer_map;
     };
 
     template <typename Kind>
@@ -1208,19 +1078,14 @@ class BasicServer {
       return b.refs.size();
     }
 
-    // One chunk: the kind's store call — locally, or steered to each item's
-    // owner — then every chunk op's response, all under the kind's pin.
+    // One chunk: the kind's store call on this worker's session, then every
+    // chunk op's response, all under the kind's pin.
     template <typename Kind>
     void execute_chunk(Batch<Kind>& b, size_t ref_begin, size_t ref_end) {
       size_t off = b.refs[ref_begin].off;
       size_t n = b.refs[ref_end - 1].off + b.refs[ref_end - 1].n - off;
       [[maybe_unused]] typename Kind::Pin pin(*this);
-      if (server.opt_.affinity_routing && server.workers_.size() > 1) {
-        steer_chunk(b, off, n);
-      } else {
-        Kind::run(*this, std::span(b.items).subspan(off, n), b.results.data() + off);
-        keyed.fetch_add(n, std::memory_order_relaxed);
-      }
+      Kind::run(*this, std::span(b.items).subspan(off, n), b.results.data() + off);
       for (size_t r = ref_begin; r < ref_end; ++r) {
         const BatchRef& ref = b.refs[r];
         ConnWork& cw = works[ref.work];
@@ -1231,124 +1096,6 @@ class BasicServer {
         open_frame(cw);
         Kind::encode(*this, cw.c->tx, p, b.results.data() + ref.off, ref.n);
         maybe_close_frame(cw, p);
-      }
-    }
-
-    // ---- per-item affinity steering --------------------------------------
-    // Partition the chunk's items by owning worker (route_worker — so a
-    // key's reads and writes land on the core that owns its cache traffic,
-    // and one key's writes always apply on one owner, in order). The local
-    // slice runs on this worker's session; remote slices ship as RemoteJobs
-    // through the owners' mailboxes (existing eventfd wake path), each
-    // applied through the owner's own session (for writes: its own log
-    // shard). Results come back through the index map.
-    template <typename Kind>
-    void steer_chunk(Batch<Kind>& b, size_t off, size_t n) {
-      unsigned nw = static_cast<unsigned>(server.workers_.size());
-      if (b.steer_items.size() < nw) {
-        b.steer_items.resize(nw);
-        b.steer_results.resize(nw);
-        b.steer_map.resize(nw);
-      }
-      for (unsigned o = 0; o < nw; ++o) {
-        b.steer_items[o].clear();
-        b.steer_map[o].clear();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const typename Kind::Item& item = b.items[off + i];
-        unsigned o = route_worker(Kind::key(item), nw);
-        b.steer_items[o].push_back(item);
-        b.steer_map[o].push_back(static_cast<uint32_t>(i));
-      }
-      std::atomic<uint32_t> done{0};
-      uint32_t njobs = 0;
-      for (unsigned o = 0; o < nw; ++o) {
-        b.steer_results[o].resize(b.steer_items[o].size());
-        if (o == id || b.steer_items[o].empty()) {
-          continue;
-        }
-        Worker& w = *server.workers_[o];
-        {
-          std::lock_guard<std::mutex> lock(w.jobs_mu);
-          w.jobs.push_back(RemoteJob{&run_job<Kind>, b.steer_items[o].data(),
-                                     b.steer_results[o].data(), b.steer_items[o].size(),
-                                     &done});
-        }
-        w.wake();
-        ++njobs;
-        server.stats_[Kind::kKind].steered.fetch_add(b.steer_items[o].size(),
-                                                     std::memory_order_relaxed);
-      }
-      if (!b.steer_items[id].empty()) {
-        Kind::run(*this, std::span(b.steer_items[id]), b.steer_results[id].data());
-        keyed.fetch_add(b.steer_items[id].size(), std::memory_order_relaxed);
-      }
-      // Wait for the owners, draining OUR mailbox meanwhile (two workers
-      // steering into each other would otherwise deadlock); once stopping_
-      // is set, also steal our unstarted jobs back from workers that may
-      // already have left their loops.
-      while (done.load(std::memory_order_acquire) < njobs) {
-        if (drain_jobs() == 0) {
-          if (server.stopping_.load(std::memory_order_acquire)) {
-            steal_back(&done);
-          }
-          std::this_thread::yield();
-        }
-      }
-      for (unsigned o = 0; o < nw; ++o) {
-        for (size_t j = 0; j < b.steer_map[o].size(); ++j) {
-          b.results[off + b.steer_map[o][j]] = b.steer_results[o][j];
-        }
-      }
-    }
-
-    template <typename Kind>
-    static void run_job(Worker& w, void* items, void* results, size_t n) {
-      Kind::run(w, std::span(static_cast<typename Kind::Item*>(items), n),
-                static_cast<typename Kind::Result*>(results));
-    }
-
-    void execute_job(const RemoteJob& j) {
-      j.run(*this, j.items, j.results, j.n);
-      keyed.fetch_add(j.n, std::memory_order_relaxed);
-      j.done->fetch_add(1, std::memory_order_release);
-    }
-
-    // Runs every job in this worker's mailbox on this worker's own session.
-    // Called from the wake path, from the steering wait loop, and once after
-    // the event loop exits.
-    size_t drain_jobs() {
-      {
-        std::lock_guard<std::mutex> lock(jobs_mu);
-        jobs_scratch.swap(jobs);
-      }
-      for (const RemoteJob& j : jobs_scratch) {
-        execute_job(j);
-      }
-      size_t n = jobs_scratch.size();
-      jobs_scratch.clear();
-      return n;
-    }
-
-    // Shutdown path: reclaim OUR shipped jobs (matched by done pointer) from
-    // mailboxes nobody may drain again, and run them locally.
-    void steal_back(std::atomic<uint32_t>* done) {
-      for (auto& wp : server.workers_) {
-        Worker& w = *wp;
-        if (&w == this) {
-          continue;
-        }
-        std::lock_guard<std::mutex> lock(w.jobs_mu);
-        for (size_t i = 0; i < w.jobs.size();) {
-          if (w.jobs[i].done != done) {
-            ++i;
-            continue;
-          }
-          RemoteJob j = w.jobs[i];
-          w.jobs[i] = w.jobs.back();
-          w.jobs.pop_back();
-          execute_job(j);
-        }
       }
     }
 
@@ -1374,7 +1121,6 @@ class BasicServer {
         // Parsed (the rest of the frame stays decodable) but refused.
         tx.template put<uint8_t>(static_cast<uint8_t>(NetStatus::kRejected));
       } else if (p.op == NetOp::kScan) {
-        keyed.fetch_add(1, std::memory_order_relaxed);
         tx.template put<uint8_t>(0);
         uint64_t count_pos = tx.reserve_u32();
         uint32_t count = 0;
@@ -1420,17 +1166,8 @@ class BasicServer {
     typename StoreT::Session session;
     std::thread thread;
     std::atomic<bool> stop{false};
-    // Keyed ops whose tree/store work ran on this worker's session (the
-    // affinity tests read this cross-thread through keyed_ops()).
-    std::atomic<uint64_t> keyed{0};
 
    private:
-    struct PendingConn {
-      int fd;
-      std::string carry;  // unconsumed rx bytes travelling with a migration
-      bool routed;
-    };
-
     int epfd = -1;
     int wakefd = -1;
     char wake_tag = 0;    // epoll data tags (address identity only)
@@ -1438,16 +1175,11 @@ class BasicServer {
     unsigned rr_next = 0;  // accepting worker's round-robin cursor
     uint64_t last_idle_sweep_ns = 0;
     std::mutex mu;
-    std::vector<PendingConn> pending;  // handed off by other workers
+    std::vector<int> pending;  // fds handed off by the accepting worker
     std::vector<std::unique_ptr<Conn>> conns;
-    // Steered-batch mailbox: other workers push under jobs_mu + wake(); only
-    // this worker's thread (or a stopping_ steal-back) removes entries.
-    std::mutex jobs_mu;
-    std::vector<RemoteJob> jobs;
-    std::vector<RemoteJob> jobs_scratch;
     // Reusable per-wakeup scratch: capacity persists, so the steady state
     // parses and batches without allocating.
-    std::vector<PendingConn> adopted;
+    std::vector<int> adopted;
     std::vector<Conn*> ready, plist, dying;
     std::vector<ParsedOp> ops;
     std::vector<unsigned> cols_pool;

@@ -2,11 +2,11 @@
 // oracle-diffed against std::map shadows, connection churn under concurrent
 // writes, slow-reader backpressure isolation, cross-connection batch
 // formation for reads AND writes (Counter::kNetBatchedGets /
-// kNetBatchedPuts), partition-affinity routing (hot keys pinned to their
-// hash-owner worker; multiget and multiput ops steered across workers
-// without reordering), clean start/stop cycles against the acceptor
-// shutdown race, slow-loris idle-connection reaping, and read-only degraded
-// serving over the wire after a sticky log I/O error.
+// kNetBatchedPuts), pipelined multiget and multiput ops answered in order on
+// a multi-worker server, clean start/stop cycles against the acceptor
+// shutdown race (also with batched reads and writes in flight), slow-loris
+// idle-connection reaping, and read-only degraded serving over the wire
+// after a sticky log I/O error.
 
 #include <gtest/gtest.h>
 #include <sys/time.h>
@@ -36,10 +36,8 @@ using test_support::seeded_rng;
 
 class NetLoopTest : public ::testing::Test {
  protected:
-  void StartServer(unsigned workers, size_t tx_highwater = 1 << 20,
-                   bool affinity = false) {
-    server_ = std::make_unique<Server>(store_,
-                                       Server::Options{0, workers, tx_highwater, affinity});
+  void StartServer(unsigned workers, size_t tx_highwater = 1 << 20) {
+    server_ = std::make_unique<Server>(store_, Server::Options{0, workers, tx_highwater});
     server_->start();
   }
   void TearDown() override {
@@ -52,20 +50,12 @@ class NetLoopTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-// One key per worker (index = its owner under route_worker), found by
-// hashing candidates prefix0, prefix1, ...
-std::vector<std::string> KeyPerWorker(const std::string& prefix, unsigned workers) {
-  std::vector<std::string> keys(workers);
-  unsigned found = 0;
-  for (int i = 0; found < workers && i < 10000; ++i) {
-    std::string k = prefix + std::to_string(i);
-    std::string& slot = keys[Server::route_worker(k, workers)];
-    if (slot.empty()) {
-      slot = k;
-      ++found;
-    }
+// prefix0 .. prefix<n-1>.
+std::vector<std::string> NumberedKeys(const std::string& prefix, unsigned n) {
+  std::vector<std::string> keys;
+  for (unsigned i = 0; i < n; ++i) {
+    keys.push_back(prefix + std::to_string(i));
   }
-  EXPECT_EQ(found, workers);
   return keys;
 }
 
@@ -376,94 +366,35 @@ TEST_F(NetLoopTest, WriteBatchesFormAcrossConnections) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition-affinity routing: with affinity on, every op on one hot key must
-// be executed by the worker owning hash(key) % nworkers — connections landing
-// on other workers are re-steered on their first keyed frame (before any op
-// executes), so the other workers' keyed-op counters stay at exactly zero.
-TEST_F(NetLoopTest, AffinityPinsHotKeyToOwnerWorker) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-  const std::string hot = "hotkey";
-  unsigned owner = Server::route_worker(hot, kWorkers);
-  {
-    Client seed(server_->port());
-    seed.put(hot, {{0, "hotval"}});
-    seed.flush();
-  }
-  // Many short-lived connections: round-robin accept spreads them over all
-  // workers, so most must migrate to reach the owner.
-  std::vector<std::thread> threads;
-  std::atomic<int> errors{0};
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      Client c(server_->port());
-      for (int i = 0; i < 50; ++i) {
-        c.get(hot);
-        auto res = c.flush();
-        if (res.size() != 1 || res[0].status != NetStatus::kOk ||
-            res[0].columns.size() != 1 || res[0].columns[0] != "hotval") {
-          ++errors;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_GT(server_->keyed_ops(owner), 0u);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    if (w != owner) {
-      EXPECT_EQ(server_->keyed_ops(w), 0u)
-          << "worker " << w << " executed ops for a key owned by " << owner;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Multiget steering: a batch whose keys hash to every worker is split and
-// shipped to the owners (steered_gets > 0), yet the connection's responses —
-// puts, the multiget's per-key rows, and a trailing get — come back complete
-// and in exactly the order sent.
-TEST_F(NetLoopTest, AffinitySteersMultigetWithoutReordering) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-
-  // One key per worker, found by hashing candidates.
-  std::vector<std::string> per_worker(kWorkers);
-  unsigned found = 0;
-  for (int i = 0; found < kWorkers && i < 10000; ++i) {
-    std::string k = "aff" + std::to_string(i);
-    unsigned w = Server::route_worker(k, kWorkers);
-    if (per_worker[w].empty()) {
-      per_worker[w] = k;
-      ++found;
-    }
-  }
-  ASSERT_EQ(found, kWorkers);
+// Pipelined multiget on a 2-worker server: puts, a multiget repeating every
+// key three times (interleaved) plus a missing key, and a trailing get are
+// all sent before any response is read. The responses — the puts, the
+// multiget's per-key rows, and the get — come back complete and in exactly
+// the order sent.
+TEST_F(NetLoopTest, PipelinedMultigetAnswersInOrder) {
+  constexpr unsigned kKeys = 4;
+  StartServer(2);
+  std::vector<std::string> keys = NumberedKeys("mg", kKeys);
 
   Client c(server_->port());
-  // Pipeline everything BEFORE reading: the first keyed frame migrates the
-  // connection, so the later frames ride the migration carry and must still
-  // be answered in order.
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    c.put(per_worker[w], {{0, "val-" + per_worker[w]}});
+  for (const std::string& k : keys) {
+    c.put(k, {{0, "val-" + k}});
   }
   c.send();
   std::vector<std::string_view> batch;
-  for (int rep = 0; rep < 3; ++rep) {  // every worker appears 3x, interleaved
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      batch.push_back(per_worker[w]);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const std::string& k : keys) {
+      batch.push_back(k);
     }
   }
-  batch.push_back("aff-missing");  // a not-found row keeps indices honest
+  batch.push_back("mg-missing");  // a not-found row keeps indices honest
   c.multiget(batch);
   c.send();
-  c.get(per_worker[0]);
+  c.get(keys[0]);
   c.send();
 
   auto puts = c.receive();
-  ASSERT_EQ(puts.size(), kWorkers);
+  ASSERT_EQ(puts.size(), kKeys);
   for (const auto& r : puts) {
     EXPECT_EQ(r.status, NetStatus::kOk);
   }
@@ -474,51 +405,35 @@ TEST_F(NetLoopTest, AffinitySteersMultigetWithoutReordering) {
     ASSERT_TRUE(mg[0].batch[i].found) << i;
     ASSERT_EQ(mg[0].batch[i].columns.size(), 1u) << i;
     EXPECT_EQ(mg[0].batch[i].columns[0], std::string("val-") + std::string(batch[i]))
-        << "row " << i << " out of order after steering";
+        << "row " << i << " out of order";
   }
   EXPECT_FALSE(mg[0].batch.back().found);
   auto last = c.receive();
   ASSERT_EQ(last.size(), 1u);
-  EXPECT_EQ(last[0].columns[0], "val-" + per_worker[0]);
-
-  EXPECT_GT(server_->steered_gets(), 0u)
-      << "a 4-worker-spanning multiget must ship remote jobs";
+  EXPECT_EQ(last[0].columns[0], "val-" + keys[0]);
 }
 
 // ---------------------------------------------------------------------------
-// Multiput steering: a kMultiPut whose keys hash to every worker is split and
-// shipped to the owner workers (steered_puts > 0), yet the per-entry inserted
-// flags come back in exactly the order sent, read-back sees every write, and
-// no write executes on a worker that does not own its key.
-TEST_F(NetLoopTest, AffinitySteersMultiputWithoutReordering) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-
-  // One key per worker, found by hashing candidates.
-  std::vector<std::string> per_worker(kWorkers);
-  unsigned found = 0;
-  for (int i = 0; found < kWorkers && i < 10000; ++i) {
-    std::string k = "wsteer" + std::to_string(i);
-    unsigned w = Server::route_worker(k, kWorkers);
-    if (per_worker[w].empty()) {
-      per_worker[w] = k;
-      ++found;
-    }
-  }
-  ASSERT_EQ(found, kWorkers);
+// Multiput on a 2-worker server: a kMultiPut repeating every key three times
+// (interleaved) gets its per-entry inserted flags back in exactly the order
+// sent, and a read-back sees the last write to every key.
+TEST_F(NetLoopTest, MultiputFlagsAnswerInOrder) {
+  constexpr unsigned kKeys = 4;
+  StartServer(2);
+  std::vector<std::string> keys = NumberedKeys("mp", kKeys);
 
   Client c(server_->port());
   std::vector<std::string> vals;
   std::vector<netwire::MultiputEntry> entries;
-  for (int rep = 0; rep < 3; ++rep) {  // every worker appears 3x, interleaved
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      vals.push_back("wv" + std::to_string(rep) + "-" + per_worker[w]);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const std::string& k : keys) {
+      vals.push_back("wv" + std::to_string(rep) + "-" + k);
     }
   }
   size_t vi = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    for (unsigned w = 0; w < kWorkers; ++w) {
-      entries.push_back({per_worker[w], {{0, vals[vi++]}}});
+    for (const std::string& k : keys) {
+      entries.push_back({k, {{0, vals[vi++]}}});
     }
   }
   c.multiput(entries);
@@ -527,58 +442,19 @@ TEST_F(NetLoopTest, AffinitySteersMultiputWithoutReordering) {
   ASSERT_EQ(res[0].status, NetStatus::kOk);
   ASSERT_EQ(res[0].batch.size(), entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
-    // As-if-sequential order survives the steering: only each key's FIRST
-    // occurrence inserts; later duplicates report replacements.
-    EXPECT_EQ(res[0].batch[i].inserted, i < kWorkers) << i;
+    // As-if-sequential order: only each key's FIRST occurrence inserts;
+    // later duplicates report replacements.
+    EXPECT_EQ(res[0].batch[i].inserted, i < kKeys) << i;
   }
-  EXPECT_GT(server_->steered_puts(), 0u)
-      << "a 4-worker-spanning multiput must ship remote write jobs";
 
-  // Last write wins per key, across the steered partitions.
-  std::vector<std::string_view> keys(per_worker.begin(), per_worker.end());
-  c.multiget(keys);
+  // Last write wins per key.
+  c.multiget(std::vector<std::string_view>(keys.begin(), keys.end()));
   res = c.flush();
-  ASSERT_EQ(res[0].batch.size(), kWorkers);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    ASSERT_TRUE(res[0].batch[w].found) << w;
-    EXPECT_EQ(res[0].batch[w].columns[0], "wv2-" + per_worker[w]) << w;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Affinity pins hot-key WRITES: single-key put/remove frames on one hot key
-// must only ever execute on the owner worker, even when they arrive through
-// the write-coalescing path.
-TEST_F(NetLoopTest, AffinityPinsHotKeyWritesToOwnerWorker) {
-  constexpr unsigned kWorkers = 4;
-  StartServer(kWorkers, 1 << 20, /*affinity=*/true);
-  const std::string hot = "hot-write-key";
-  unsigned owner = Server::route_worker(hot, kWorkers);
-
-  std::vector<std::thread> threads;
-  std::atomic<int> errors{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Client c(server_->port());
-      for (int i = 0; i < 40; ++i) {
-        c.put(hot, {{0, "w" + std::to_string(t)}});
-        auto res = c.flush();
-        if (res.size() != 1 || res[0].status != NetStatus::kOk) {
-          ++errors;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_GT(server_->keyed_ops(owner), 0u);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    if (w != owner) {
-      EXPECT_EQ(server_->keyed_ops(w), 0u)
-          << "worker " << w << " executed writes for a key owned by " << owner;
-    }
+  ASSERT_EQ(res.size(), 1u);
+  ASSERT_EQ(res[0].batch.size(), kKeys);
+  for (unsigned i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(res[0].batch[i].found) << i;
+    EXPECT_EQ(res[0].batch[i].columns[0], "wv2-" + keys[i]) << i;
   }
 }
 
@@ -602,17 +478,15 @@ TEST(NetLoopShutdown, StartStopCyclesWithLiveClients) {
   }
 }
 
-// The same cycles with affinity routing on. Every round pipelines a
-// multiput and a multiget spanning both workers' keys and stops the server
-// without reading their responses, so stop() can meet steered jobs in
-// flight (the steal-back path). It must not hang, and every write acked in
-// one cycle must read back in the next.
-TEST(NetLoopShutdown, AffinityStartStopCyclesWithLiveClients) {
-  constexpr unsigned kWorkers = 2;
+// The same cycles with batches in flight. Every round pipelines a multiput
+// and a multiget and stops the server without reading their responses. stop()
+// must not hang, and every write acked in one cycle must read back in the
+// next.
+TEST(NetLoopShutdown, StartStopCyclesWithBatchesInFlight) {
   Store store;
   std::vector<std::string> acked;  // keys acked last cycle, value "v<round-1>"
   for (int round = 0; round < 20; ++round) {
-    Server server(store, Server::Options{0, kWorkers, 1 << 20, /*affinity=*/true});
+    Server server(store, Server::Options{0, 2});
     server.start();
     Client c(server.port());
     if (!acked.empty()) {
@@ -628,7 +502,7 @@ TEST(NetLoopShutdown, AffinityStartStopCyclesWithLiveClients) {
       }
     }
     std::string val = "v" + std::to_string(round);
-    acked = KeyPerWorker("ack" + std::to_string(round) + "-", kWorkers);
+    acked = NumberedKeys("ack" + std::to_string(round) + "-", 4);
     std::vector<netwire::MultiputEntry> entries;
     for (const std::string& k : acked) {
       entries.push_back({k, {{0, val}}});
@@ -638,8 +512,7 @@ TEST(NetLoopShutdown, AffinityStartStopCyclesWithLiveClients) {
     ASSERT_EQ(res.size(), 1u);
     ASSERT_EQ(res[0].status, NetStatus::kOk);
 
-    std::vector<std::string> unacked =
-        KeyPerWorker("un" + std::to_string(round) + "-", kWorkers);
+    std::vector<std::string> unacked = NumberedKeys("un" + std::to_string(round) + "-", 4);
     entries.clear();
     for (const std::string& k : unacked) {
       entries.push_back({k, {{0, val}}});
@@ -647,7 +520,7 @@ TEST(NetLoopShutdown, AffinityStartStopCyclesWithLiveClients) {
     c.multiput(entries);
     c.multiget(std::vector<std::string_view>(unacked.begin(), unacked.end()));
     c.send();
-    server.stop();  // with both cross-owner ops in flight
+    server.stop();  // with both batched ops in flight
   }
 }
 
@@ -716,10 +589,8 @@ TEST(NetLoopIdle, SlowLorisConnectionsAreReaped) {
 // Degraded serving over the wire: a sticky log I/O error flips the store
 // read-only; from then on puts/removes answer NetStatus::kReadOnly (no
 // payload) on the SAME connection, gets keep serving the in-memory data, and
-// nothing is closed or thrown. With `affinity` on, writes owned by the worker
-// the connection does not sit on are steered there, and their refusals come
-// back only through the steering copy-back.
-void ReadOnlyServing(unsigned workers, bool affinity) {
+// nothing is closed or thrown.
+void ReadOnlyServing(unsigned workers) {
   std::string dir = testing::TempDir() + "/net_ro_logs";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -729,26 +600,13 @@ void ReadOnlyServing(unsigned workers, bool affinity) {
   sopt.maintenance_thread = false;
   Store store(sopt);
   {
-    Server server(store, Server::Options{0, workers, 1 << 20, affinity});
+    Server server(store, Server::Options{0, workers});
     server.start();
     Client c(server.port());
     c.put("pre", {{0, "durable"}});
     auto r0 = c.flush();
     ASSERT_EQ(r0.size(), 1u);
     ASSERT_EQ(r0[0].status, NetStatus::kOk);
-    // The connection now sits on pre's owner. With affinity on, write one
-    // key per worker first, so every worker's log shard exists before the
-    // fault is armed.
-    std::vector<std::string> owned;
-    if (affinity) {
-      owned = KeyPerWorker("ro", workers);
-      for (const std::string& k : owned) {
-        c.put(k, {{0, "w"}});
-      }
-      for (const auto& r : c.flush()) {
-        ASSERT_EQ(r.status, NetStatus::kOk);
-      }
-    }
     store.sync_logs();
     ASSERT_FALSE(store.read_only());
 
@@ -779,42 +637,20 @@ void ReadOnlyServing(unsigned workers, bool affinity) {
     EXPECT_EQ(res[2].columns[0], "durable");
     EXPECT_EQ(res[3].status, NetStatus::kOk);
 
-    // Multiput over the wire also reports the degraded mode in-band (with
-    // affinity on, its entries route to every worker).
-    std::vector<netwire::MultiputEntry> entries = {{"m1", {{0, "a"}}},
-                                                   {"m2", {{0, "b"}}}};
-    for (const std::string& k : owned) {
-      entries.push_back({k, {{0, "c"}}});
-    }
-    c.multiput(entries);
+    // Multiput over the wire also reports the degraded mode in-band.
+    c.multiput({{"m1", {{0, "a"}}}, {"m2", {{0, "b"}}}});
     auto rm = c.flush();
     ASSERT_EQ(rm.size(), 1u);
     EXPECT_EQ(rm[0].status, NetStatus::kReadOnly);
-
-    if (affinity) {
-      // Both ops are owned wholly by the other worker: only the copied-back
-      // rejected flags can turn them into kReadOnly.
-      const std::string& remote =
-          owned[Server::route_worker("pre", workers) == 0 ? 1 : 0];
-      c.put(remote, {{0, "z"}});
-      c.multiput({{remote, {{0, "z"}}}});
-      auto rr = c.flush();
-      ASSERT_EQ(rr.size(), 2u);
-      EXPECT_EQ(rr[0].status, NetStatus::kReadOnly);
-      EXPECT_EQ(rr[1].status, NetStatus::kReadOnly);
-      EXPECT_GT(server.steered_puts(), 0u);
-    }
     EXPECT_EQ(store.log_error(), EIO);
     EXPECT_STREQ(store.log_error_detail().syscall, "pwritev");
     server.stop();
   }
 }
 
-TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) { ReadOnlyServing(1, false); }
+TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServing) { ReadOnlyServing(1); }
 
-TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServingAffinity) {
-  ReadOnlyServing(2, /*affinity=*/true);
-}
+TEST(NetLoopReadOnly, WritesAnswerReadOnlyGetsKeepServingTwoWorkers) { ReadOnlyServing(2); }
 
 }  // namespace
 }  // namespace masstree

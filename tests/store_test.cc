@@ -449,5 +449,25 @@ TEST(Store, SessionChurnReusesLogShards) {
   EXPECT_EQ(res.log_entries_applied, 30u);
 }
 
+// Options::logger.compress_threshold is the Store's one compression knob:
+// 0 must keep a compressible 1 KiB value raw in the log, while the default
+// threshold compresses the same value.
+TEST(Store, LoggerCompressThresholdGovernsLogCompression) {
+  const std::string value(1024, 'x');
+  for (size_t threshold : {size_t{0}, Logger::Options().compress_threshold}) {
+    std::string dir = FreshDir("store_compress_" + std::to_string(threshold));
+    Store::Options opt;
+    opt.log_dir = dir;
+    opt.log_partitions = 1;
+    opt.logger.compress_threshold = threshold;
+    Store store(opt);
+    Store::Session s(store, 0);
+    store.put("k", {{0, value}}, s);
+    EXPECT_EQ(s.ti().counters().get(Counter::kLogCompressedRecords),
+              threshold == 0 ? 0u : 1u)
+        << "threshold " << threshold;
+  }
+}
+
 }  // namespace
 }  // namespace masstree
