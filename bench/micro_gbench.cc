@@ -2,11 +2,15 @@
 // costs the paper's design arguments rest on: slice encoding (§4.2),
 // permutation updates (§4.6.2), in-node search (§4.8), version protocol
 // (§4.5), row copy-on-write (§4.7), epoch entry (§4.6.1), the log's
-// CRC and LZ codec (§5), and the Zipfian generator (§7).
+// CRC and LZ codec (§5), and the Zipfian generator (§7). One store-level
+// lane, BM_StorePut1KiB, shows that a bulk load's per-put cost stays flat
+// as the store grows (the allocator's refills must not scale with it).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "core/tree.h"
 #include "core/version.h"
 #include "key/keyslice.h"
+#include "kvstore/store.h"
 #include "util/crc32.h"
 #include "util/lz.h"
 #include "util/rand.h"
@@ -216,6 +221,46 @@ void BM_ZipfianNext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfianNext);
+
+// Single-thread, unlogged 1 KiB Store::put into a fresh store of
+// state.range(0) keys; reports ns per put. Each size loads once, and its
+// store stays alive until the process exits: the allocator never returns
+// memory, so a later load into recycled memory would find its free lists
+// full and skip the span refills this lane exists to measure. The three
+// sizes together hold about 1.1 GB.
+void BM_StorePut1KiB(benchmark::State& state) {
+  static std::vector<std::unique_ptr<Store>> kept;
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys.push_back(decimal_key(i));
+  }
+  const std::string value(1024, 'v');
+  const std::vector<ColumnUpdate> row{{0, value}};
+  double total_ns = 0;
+  for (auto _ : state) {
+    kept.push_back(std::make_unique<Store>());
+    Store& store = *kept.back();
+    Store::Session s(store, 0);
+    auto t0 = std::chrono::steady_clock::now();
+    for (const std::string& k : keys) {
+      benchmark::DoNotOptimize(store.put(k, row, s));
+    }
+    std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count());
+    total_ns += dt.count() * 1e9;
+  }
+  state.counters["ns_per_put"] =
+      total_ns / (static_cast<double>(n) * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_StorePut1KiB)
+    ->Arg(50000)
+    ->Arg(200000)
+    ->Arg(400000)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DecimalKeyGen(benchmark::State& state) {
   uint64_t i = 0;

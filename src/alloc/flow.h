@@ -17,8 +17,12 @@
 //    recovers it by masking the object address.
 //  * Each thread owns an Arena: per-class bump carving plus a local LIFO free
 //    list. Frees from other threads push onto the span's lock-free remote
-//    list, which the owner drains when its local list runs dry — the
-//    Streamflow local/remote split that avoids allocator lock contention.
+//    list — the Streamflow local/remote split that avoids allocator lock
+//    contention. The free that turns a span's remote list non-empty also
+//    pushes the span onto its owner's per-class pending stack (many
+//    producers, one consumer), so when the carving span fills, the owner
+//    reclaims by popping that stack: a refill visits only the spans that
+//    hold remote frees, never every span the arena owns.
 //  * Allocations above the largest class map their own span-aligned region.
 
 #ifndef MASSTREE_ALLOC_FLOW_H_
@@ -75,7 +79,10 @@ struct SpanHeader {
   unsigned size_class;
   size_t mapped_bytes;    // for large allocations: munmap length
   std::atomic<FreeNode*> remote_free{nullptr};
-  SpanHeader* next_in_class = nullptr;  // arena-local chain
+  // Link in the owner's pending stack. Written by the free that made
+  // remote_free non-empty, before its release push; read by the draining
+  // owner after its acquire pop.
+  SpanHeader* next_pending = nullptr;
   char* bump = nullptr;   // carve cursor (owner thread only)
   char* end = nullptr;
 };
@@ -92,6 +99,7 @@ struct ArenaStats {
   uint64_t freed_objects = 0;
   uint64_t spans = 0;
   uint64_t large_bytes = 0;
+  uint64_t remote_spans_drained = 0;  // spans popped off the pending stacks
 };
 
 // Per-thread allocator front end. allocate() must only be called by the
@@ -101,8 +109,8 @@ class Arena {
   explicit Arena(Flow* flow) : flow_(flow) {
     for (unsigned i = 0; i < internal::kNumClasses; ++i) {
       free_[i] = nullptr;
-      spans_[i] = nullptr;
       carving_[i] = nullptr;
+      pending_[i].store(nullptr, std::memory_order_relaxed);
     }
   }
 
@@ -122,8 +130,11 @@ class Arena {
 
   Flow* flow_;
   internal::FreeNode* free_[internal::kNumClasses];
-  internal::SpanHeader* spans_[internal::kNumClasses];
   internal::SpanHeader* carving_[internal::kNumClasses];
+  // Spans of this arena whose remote_free list is non-empty. A span is on
+  // the stack (or in a drain's detached list) exactly when its remote list
+  // is non-empty, so it is never queued twice and every pop yields a chain.
+  std::atomic<internal::SpanHeader*> pending_[internal::kNumClasses];
   ArenaStats stats_;
 };
 
@@ -296,8 +307,6 @@ inline void* Arena::allocate_class(unsigned ci) {
   span->owner = this;
   span->size_class = ci;
   span->remote_free.store(nullptr, std::memory_order_relaxed);
-  span->next_in_class = spans_[ci];
-  spans_[ci] = span;
   carving_[ci] = span;
   char* base = reinterpret_cast<char*>(span);
   span->bump = base + internal::kObjectStart;
@@ -309,21 +318,23 @@ inline void* Arena::allocate_class(unsigned ci) {
 }
 
 inline bool Arena::drain_remote(unsigned ci) {
-  bool got = false;
-  for (internal::SpanHeader* s = spans_[ci]; s != nullptr; s = s->next_in_class) {
-    internal::FreeNode* chain = s->remote_free.exchange(nullptr, std::memory_order_acquire);
-    if (chain == nullptr) {
-      continue;
-    }
-    got = true;
+  // Taking the whole stack at once has no ABA problem.
+  internal::SpanHeader* s = pending_[ci].exchange(nullptr, std::memory_order_acquire);
+  while (s != nullptr) {
+    // Read the link first: once remote_free is empty again, the next remote
+    // free may push this span anew and overwrite next_pending.
+    internal::SpanHeader* next = s->next_pending;
+    internal::FreeNode* chain = s->remote_free.exchange(nullptr, std::memory_order_acq_rel);
+    ++stats_.remote_spans_drained;
     while (chain != nullptr) {
-      internal::FreeNode* next = chain->next;
+      internal::FreeNode* n = chain->next;
       chain->next = free_[ci];
       free_[ci] = chain;
-      chain = next;
+      chain = n;
     }
+    s = next;
   }
-  return got;
+  return free_[ci] != nullptr;  // the caller found the local list empty
 }
 
 namespace internal {
@@ -352,8 +363,17 @@ inline void Arena::deallocate(void* ptr) {
     internal::FreeNode* head = span->remote_free.load(std::memory_order_relaxed);
     do {
       node->next = head;
-    } while (!span->remote_free.compare_exchange_weak(head, node, std::memory_order_release,
+    } while (!span->remote_free.compare_exchange_weak(head, node, std::memory_order_acq_rel,
                                                       std::memory_order_relaxed));
+    if (head == nullptr) {
+      // This free made the list non-empty: queue the span for its owner.
+      std::atomic<internal::SpanHeader*>& pending = owner->pending_[span->size_class];
+      internal::SpanHeader* top = pending.load(std::memory_order_relaxed);
+      do {
+        span->next_pending = top;
+      } while (!pending.compare_exchange_weak(top, span, std::memory_order_release,
+                                              std::memory_order_relaxed));
+    }
   }
 }
 

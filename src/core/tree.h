@@ -520,6 +520,121 @@ class BasicTree {
   }
 
   // --------------------------------------------------------------------
+  // split_keys(n) — up to n-1 strictly increasing keys, taken from the
+  // tree's own separators, that cut the key space into n ranges of similar
+  // size (the checkpointer's part boundaries, §5). A breadth-first walk from
+  // layer 0's true root expands the frontier in key order: an interior
+  // contributes its separator slices and its children, a border its keys'
+  // slices, and a slot linking to a lower layer contributes that layer's
+  // root under the prefix extended by the slot's slice (the shared-prefix
+  // case). The walk stops once the frontier holds 4n boundaries or nothing
+  // is left to expand. Slice s under prefix p becomes the key p + bytes(s)
+  // minus trailing zero bytes: keys with a smaller slice sort below it, keys
+  // with an equal or larger one at or above it. A node that changes under
+  // the walk is skipped, so concurrent writers can skew the balance but
+  // never the coverage: callers split by key comparison. Fewer than n-1
+  // keys come back for a tiny tree.
+  std::vector<std::string> split_keys(unsigned n, ThreadContext& ti) const {
+    struct Item {
+      std::string key;       // a boundary, or the layer prefix of `node`
+      Node* node = nullptr;  // null: `key` is a boundary
+      bool layer = false;    // `node` is a (possibly stale) layer root
+    };
+    auto boundary = [](const std::string& prefix, uint64_t slice) {
+      char b[kSliceBytes];
+      slice_to_bytes(slice, b);
+      size_t len = kSliceBytes;
+      while (len > 0 && b[len - 1] == '\0') {
+        --len;
+      }
+      return prefix + std::string(b, len);
+    };
+    std::vector<std::string> bounds;
+    if (n < 2) {
+      return bounds;
+    }
+    EpochGuard guard(ti.slot());
+    std::vector<Item> frontier;
+    frontier.push_back(Item{std::string(), true_layer_root(root_.load(std::memory_order_acquire))});
+    std::vector<Item> next, expansion;
+    size_t nbounds = 0;
+    bool grew = true;
+    while (nbounds < 4 * size_t{n} && grew) {
+      grew = false;
+      next.clear();
+      for (Item& it : frontier) {
+        if (it.node == nullptr) {
+          next.push_back(std::move(it));
+          continue;
+        }
+        grew = true;
+        expansion.clear();
+        auto v = it.node->version().stable();
+        if (v.deleted()) {
+          continue;
+        }
+        if (it.node->is_border()) {
+          const Border* b = it.node->as_border();
+          Permuter perm = b->permutation();
+          for (int i = 0; i < perm.size(); ++i) {
+            int s = perm.get(i);
+            uint8_t kx = b->keylenx(s);
+            if (keylenx_is_layer(kx)) {
+              char sb[kSliceBytes];
+              slice_to_bytes(b->slice(s), sb);
+              expansion.push_back(
+                  Item{it.key + std::string(sb, kSliceBytes), b->layer(s), true});
+            } else if (!keylenx_is_unstable(kx)) {
+              expansion.push_back(Item{boundary(it.key, b->slice(s))});
+            }
+          }
+        } else {
+          const Interior* in = it.node->as_interior();
+          int nk = in->nkeys();
+          for (int i = 0; i <= nk; ++i) {
+            expansion.push_back(Item{it.key, in->child(i)});
+            if (i < nk) {
+              expansion.push_back(Item{boundary(it.key, in->key(i))});
+            }
+          }
+        }
+        if (it.node->version().changed_since(v)) {
+          continue;
+        }
+        for (Item& e : expansion) {
+          if (e.layer) {
+            // Only now is the slot known to have held a layer link.
+            e.node = true_layer_root(e.node);
+          }
+          next.push_back(std::move(e));
+        }
+      }
+      frontier.swap(next);
+      nbounds = 0;
+      for (const Item& it : frontier) {
+        nbounds += it.node == nullptr;
+      }
+    }
+    for (Item& it : frontier) {
+      if (it.node == nullptr && !it.key.empty()) {
+        bounds.push_back(std::move(it.key));
+      }
+    }
+    // Already in key order unless a writer raced the walk; sorting makes
+    // the result strictly increasing either way.
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::vector<std::string> keys;
+    for (unsigned j = 1; j < n && !bounds.empty(); ++j) {
+      std::string& k = bounds[j * bounds.size() / n];
+      if (keys.empty() || keys.back() < k) {
+        keys.push_back(k);
+      }
+    }
+    return keys;
+  }
+
+  // --------------------------------------------------------------------
   // Deferred cleanup of empty sub-layer trees (§4.6.5: "Epoch-based
   // reclamation tasks are scheduled as needed to clean up empty ...
   // layer-h trees"). Returns the number of tasks processed.

@@ -402,8 +402,9 @@ class Store {
   }
 
   // ------------------------------------------------------------------
-  // Checkpoint (§5): walks the tree in nworkers parallel key ranges while
-  // normal operations continue. The MANIFEST is written only after every
+  // Checkpoint (§5): walks the tree in nworkers parallel key ranges, cut at
+  // the tree's own separators (BasicTree::split_keys), while normal
+  // operations continue. The MANIFEST is written only after every
   // part completes. Parts are named by the start time, so this never
   // rewrites the parts the committed MANIFEST names; those are unlinked
   // once the new MANIFEST is durable.
@@ -420,6 +421,16 @@ class Store {
     }
     m.version_floor = version_counter_.load(std::memory_order_acquire);
     m.parts = nworkers;
+    // Part w covers [bounds[w-1], bounds[w]) by key comparison; part 0
+    // starts at the empty key and the last part runs to the end. The bounds
+    // are the tree's own separators, so the parts hold similar record counts
+    // whatever the key alphabet. A tiny tree yields fewer bounds, and the
+    // parts past them are written empty.
+    std::vector<std::string> bounds;
+    {
+      ThreadContext ti;
+      bounds = tree_->split_keys(nworkers, ti);
+    }
     std::atomic<bool> ok{true};
     // Write-side part failures (ENOSPC, EIO, short disk) trip the store
     // read-only, like a log failure would; a part that cannot even be
@@ -445,18 +456,14 @@ class Store {
           }
           return;
         }
-        // Range partition by leading byte: worker w covers
-        // [w*256/n, (w+1)*256/n) as first-byte values; worker 0 also covers
-        // the empty key. Scans run in bounded chunks so the checkpointer
-        // never pins an epoch for the whole walk — concurrent writers keep
-        // reclaiming memory (§5: checkpoints run in parallel with request
-        // processing).
-        unsigned lo = w * 256 / nworkers, hi = (w + 1) * 256 / nworkers;
-        std::string cursor =
-            w == 0 ? std::string() : std::string(1, static_cast<char>(lo));
+        // Scans run in bounded chunks so the checkpointer never pins an
+        // epoch for the whole walk — concurrent writers keep reclaiming
+        // memory (§5: checkpoints run in parallel with request processing).
+        bool done = w > bounds.size();
+        std::string cursor = w == 0 || done ? std::string() : bounds[w - 1];
+        const std::string* hi = w < bounds.size() ? &bounds[w] : nullptr;
         std::vector<std::string_view> cols;
         constexpr size_t kChunk = 4096;
-        bool done = false;
         while (!done) {
           size_t emitted = 0;
           std::string last_key;
@@ -465,8 +472,7 @@ class Store {
             emitted = tree_->scan(
                 cursor, kChunk,
                 [&](std::string_view k, uint64_t lv) {
-                  if (hi < 256 && !k.empty() &&
-                      static_cast<unsigned char>(k[0]) >= hi) {
+                  if (hi != nullptr && k >= *hi) {
                     done = true;
                     return false;  // next worker's range
                   }

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 namespace masstree {
@@ -183,6 +185,131 @@ TEST(Flow, ConcurrentAllocFreeStress) {
   }
   for (auto& th : threads) {
     th.join();
+  }
+}
+
+TEST(Flow, RefillVisitsOnlySpansWithRemoteFrees) {
+  // A refill reclaims from the spans that hold remote frees, not from every
+  // span the arena has ever carved: the cost of a refill must not grow with
+  // the arena.
+  Flow flow;
+  Arena* a = flow.acquire_arena();
+  bind_thread_arena(a);
+  constexpr size_t kObj = 1024;
+  constexpr size_t kPerSpan = (internal::kSpanSize - internal::kObjectStart) / kObj;
+  constexpr size_t kSpans = 200;
+  std::vector<void*> ptrs;
+  for (size_t i = 0; i < kSpans * kPerSpan; ++i) {
+    ptrs.push_back(a->allocate(kObj));
+  }
+  ASSERT_EQ(a->stats().spans, kSpans);  // every span carved full
+  // Remote frees land in spans 3, 90 and 170; span 3 gets two.
+  std::thread other([&] {
+    for (size_t i : {3 * kPerSpan, 3 * kPerSpan + 5, 90 * kPerSpan + 1, 170 * kPerSpan + 7}) {
+      Arena::deallocate(ptrs[i]);
+    }
+  });
+  other.join();
+  uint64_t drained = a->stats().remote_spans_drained;
+  // The carving span is full and the local list is empty: this refills.
+  void* p = a->allocate(kObj);
+  EXPECT_EQ(a->stats().remote_spans_drained, drained + 3);
+  EXPECT_EQ(a->stats().spans, kSpans);  // reclaimed, no new span
+  std::set<void*> freed{ptrs[3 * kPerSpan], ptrs[3 * kPerSpan + 5], ptrs[90 * kPerSpan + 1],
+                        ptrs[170 * kPerSpan + 7]};
+  EXPECT_EQ(freed.count(p), 1u);
+  bind_thread_arena(nullptr);
+  flow.release_arena(a);
+}
+
+TEST(Flow, CrossThreadFreeStormReturnsEveryObjectOnce) {
+  // Every thread allocates and hands its objects to the next thread, which
+  // frees them remotely while the owner keeps allocating (and draining).
+  // Afterwards each owner must get every freed object back, and no object
+  // may ever be handed out while it is still live.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  constexpr int kBatch = 128;
+  constexpr size_t kObj = 64;
+  constexpr size_t kPerSpan = (internal::kSpanSize - internal::kObjectStart) / kObj;
+  Flow flow;
+  struct Inbox {
+    std::mutex mu;
+    std::vector<void*> ptrs;
+  };
+  Inbox inbox[kThreads];
+  // Word 1 of a live object holds its owner's tag; the freer clears it, so
+  // a non-zero tag on a fresh allocation means a live object came back.
+  auto tag_of = [](void* p) { return static_cast<uint64_t*>(p) + 1; };
+  auto free_inbox = [&](int t) {
+    std::vector<void*> got;
+    {
+      std::lock_guard<std::mutex> lock(inbox[t].mu);
+      got.swap(inbox[t].ptrs);
+    }
+    for (void* p : got) {
+      EXPECT_EQ(*tag_of(p), static_cast<uint64_t>((t + kThreads - 1) % kThreads + 1));
+      *tag_of(p) = 0;
+      Arena::deallocate(p);
+    }
+  };
+  std::vector<std::unordered_set<void*>> handed(kThreads);
+  std::vector<Arena*> arenas(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Arena* a = arenas[t] = flow.acquire_arena();
+      bind_thread_arena(a);
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<void*> batch;
+        for (int i = 0; i < kBatch; ++i) {
+          void* p = a->allocate(kObj);
+          EXPECT_EQ(*tag_of(p), 0u) << "live object handed out twice";
+          *tag_of(p) = static_cast<uint64_t>(t + 1);
+          handed[t].insert(p);
+          batch.push_back(p);
+        }
+        {
+          Inbox& next = inbox[(t + 1) % kThreads];
+          std::lock_guard<std::mutex> lock(next.mu);
+          next.ptrs.insert(next.ptrs.end(), batch.begin(), batch.end());
+        }
+        free_inbox(t);
+      }
+      bind_thread_arena(nullptr);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { free_inbox(t); });  // still remote frees
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  // Every object each owner handed out is now free. Reallocating takes at
+  // most what is left of the carving span before all of them come back.
+  for (int t = 0; t < kThreads; ++t) {
+    Arena* a = arenas[t];
+    bind_thread_arena(a);
+    std::unordered_set<void*> missing = handed[t];
+    std::unordered_set<void*> live;
+    size_t budget = missing.size() + kPerSpan;
+    for (size_t i = 0; i < budget && !missing.empty(); ++i) {
+      void* p = a->allocate(kObj);
+      ASSERT_TRUE(live.insert(p).second) << "object handed out twice";
+      EXPECT_EQ(*tag_of(p), 0u);
+      missing.erase(p);
+    }
+    EXPECT_TRUE(missing.empty()) << missing.size() << " freed objects never came back";
+    EXPECT_GT(a->stats().remote_spans_drained, 0u);
+    for (void* p : live) {
+      Arena::deallocate(p);
+    }
+    bind_thread_arena(nullptr);
+    flow.release_arena(a);
   }
 }
 

@@ -18,6 +18,7 @@
 #include "checkpoint/checkpoint.h"
 #include "kvstore/store.h"
 #include "support/test_support.h"
+#include "workload/keys.h"
 
 namespace masstree {
 namespace {
@@ -399,6 +400,58 @@ TEST(CheckpointRestore, InterruptedCheckpointIsInvisible) {
   EXPECT_FALSE(res.used_checkpoint);
   EXPECT_EQ(res.checkpoint_records, 0u);
   EXPECT_EQ(restored.stats().keys, 0u);
+}
+
+TEST(CheckpointRestore, PartsSplitEvenlyAcrossWorkers) {
+  // §5: each checkpoint thread covers a key range. The ranges are cut at
+  // the tree's own separators, so a narrow key alphabet (decimal digits) or
+  // a long shared prefix (which puts every key in a deeper layer) still
+  // spreads records evenly over the parts.
+  constexpr unsigned kWorkers = 4;
+  auto check = [&](const char* tag, const std::vector<std::string>& keys, bool balanced) {
+    SCOPED_TRACE(tag);
+    TempDir ckpt(tag);
+    RowOracle oracle;
+    {
+      Store store;
+      Store::Session s(store, 0);
+      for (const std::string& k : keys) {
+        std::vector<std::string> cols{"v" + k};
+        store.put(k, {{0, cols[0]}}, s);
+        oracle[k] = std::move(cols);
+      }
+      ASSERT_TRUE(store.checkpoint(ckpt.str(), kWorkers));
+    }
+    CheckpointManifest m = read_manifest(ckpt.str());
+    ASSERT_TRUE(m.valid);
+    ASSERT_EQ(m.parts, kWorkers);
+    size_t total = 0;
+    for (unsigned w = 0; w < kWorkers; ++w) {
+      size_t n = read_checkpoint_part(checkpoint_part_path(ckpt.str(), m.start_ts_us, w)).size();
+      total += n;
+      if (balanced) {
+        double share = static_cast<double>(n) * kWorkers / static_cast<double>(oracle.size());
+        EXPECT_GE(share, 0.5) << "part " << w << " holds " << n;
+        EXPECT_LE(share, 1.5) << "part " << w << " holds " << n;
+      }
+    }
+    EXPECT_EQ(total, oracle.size());
+    Store restored;
+    Store::RecoveryResult res = restored.recover(ckpt.str(), "", 2);
+    EXPECT_EQ(res.checkpoint_records, oracle.size());
+    expect_store_matches(restored, oracle);
+  };
+  std::vector<std::string> decimal, prefixed;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    decimal.push_back(decimal_key(i));
+    prefixed.push_back("https://example.com/item/" + std::to_string(i));
+  }
+  check("split-decimal", decimal, true);
+  check("split-prefixed", prefixed, true);
+  // Tiny trees yield fewer bounds than parts; the rest are written empty.
+  check("split-three", {"a", "b", "c"}, false);
+  check("split-one", {"a"}, false);
+  check("split-empty", {}, false);
 }
 
 TEST(CheckpointRestore, CheckpointRunsConcurrentlyWithWrites) {
