@@ -5,8 +5,9 @@
 // with short keys and improves performance by 3%."
 //
 // We compare adaptive bags against fixed 15 x 16-byte reservations on the
-// decimal workload (short 1-2 byte suffixes), reporting suffix memory and
-// get throughput.
+// decimal workload (short 1-2 byte suffixes), reporting suffix memory, get
+// throughput, and how many bags the load outgrew (each growth is a copy and
+// an epoch retire).
 
 #include "bench/common.h"
 #include "core/tree.h"
@@ -45,9 +46,11 @@ void run(const bench::Env& e, const char* name) {
       });
   TreeStats st = tree.collect_stats();
   std::printf("%-10s get %7.3f Mops | node bytes %8.2f MB | suffix bytes %7.2f MB "
-              "(used %5.2f MB) | total %8.2f MB\n",
+              "(used %5.2f MB) | total %8.2f MB | bag growths %llu\n",
               name, mops, st.node_bytes / 1e6, st.suffix_bytes / 1e6,
-              st.suffix_used_bytes / 1e6, (st.node_bytes + st.suffix_bytes) / 1e6);
+              st.suffix_used_bytes / 1e6, (st.node_bytes + st.suffix_bytes) / 1e6,
+              static_cast<unsigned long long>(
+                  setup.counters().get(Counter::kSuffixBagGrowths)));
 }
 
 }  // namespace

@@ -50,6 +50,9 @@ struct LogDuelResult {
   uint64_t physical_bytes = 0;
   uint64_t logical_bytes = 0;
   uint64_t compressed_records = 0;
+  // Arena bytes per key of the unlogged store: its session's span growth
+  // (x 64 KB) over the duel, divided by the keys it put.
+  double unlogged_bytes_per_key = 0.0;
 
   double bytes_per_op() const {
     return appends == 0 ? 0.0
@@ -91,6 +94,7 @@ LogDuelResult log_duel(const std::string& log_dir, const std::string& value,
   uint64_t p0 = sl.ti().counters().get(Counter::kLogBytesPhysical);
   uint64_t l0 = sl.ti().counters().get(Counter::kLogBytesLogical);
   uint64_t c0 = sl.ti().counters().get(Counter::kLogCompressedRecords);
+  uint64_t spans0 = su.ti().arena().stats().spans;
   for (uint64_t i = 0; i < pairs; ++i) {
     double secs[2] = {0.0, 0.0};
     for (int leg = 0; leg < 5; ++leg) {
@@ -122,6 +126,9 @@ LogDuelResult log_duel(const std::string& log_dir, const std::string& value,
   r.logical_bytes = sl.ti().counters().get(Counter::kLogBytesLogical) - l0;
   r.compressed_records =
       sl.ti().counters().get(Counter::kLogCompressedRecords) - c0;
+  r.unlogged_bytes_per_key =
+      static_cast<double>((su.ti().arena().stats().spans - spans0) * internal::kSpanSize) /
+      static_cast<double>(next_key[0]);
   std::sort(ratios.begin(), ratios.end());
   double med = ratios[ratios.size() / 2];
   r.overhead_pct = (1.0 / med - 1.0) * 100.0;
@@ -337,11 +344,13 @@ int main(int argc, char** argv) {
                               /*key_tag=*/uint64_t{1} << 40);
   double log_overhead_1kb_pct = kb.overhead_pct;
   std::printf("log duel (1KiB values): overhead %.2f%%, %.1f bytes/op, "
-              "compression ratio %.2fx (%.1f%% records compressed)\n",
+              "compression ratio %.2fx (%.1f%% records compressed), "
+              "%.1f arena bytes/key unlogged\n",
               kb.overhead_pct, kb.bytes_per_op(), kb.compression_ratio(),
               kb.appends == 0 ? 0.0
                               : 100.0 * static_cast<double>(kb.compressed_records) /
-                                    static_cast<double>(kb.appends));
+                                    static_cast<double>(kb.appends),
+              kb.unlogged_bytes_per_key);
 
   // YCSB-A: 50% reads, 50% updates, Zipfian key popularity (§7).
   double ycsb_a_mops =
@@ -490,6 +499,7 @@ int main(int argc, char** argv) {
   add("    \"log_overhead_1kb_pct\": %.2f,\n", log_overhead_1kb_pct);
   add("    \"log_1kb_bytes_per_op\": %.2f,\n", kb.bytes_per_op());
   add("    \"log_1kb_compression_ratio\": %.3f,\n", kb.compression_ratio());
+  add("    \"mem_1kb_bytes_per_key\": %.1f,\n", kb.unlogged_bytes_per_key);
   add("    \"ycsb_a_zipfian_mops\": %.4f,\n", ycsb_a_mops);
   add("    \"net_get_mops\": %.4f,\n", net_get_mops);
   add("    \"net_conns\": %u,\n", kNetConns);

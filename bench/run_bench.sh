@@ -48,7 +48,10 @@ echo "== bench_json -> $json_out"
 #   1 KiB values           overhead finite (the <10% paper budget is tracked,
 #                          but too noisy to hard-gate on one core);
 #                          compression ratio > 1 (these values are built to
-#                          compress, so 1.0 means the lz path is dead)
+#                          compress, so 1.0 means the lz path is dead);
+#                          arena bytes per 1 KiB key at most 1300 (a 1,048 B
+#                          row in the 1088 B class reads ~1146 at
+#                          MT_BENCH_KEYS=50000; a 1536 B class reads ~1621)
 #   served gets (§6.1)     net_get_mops and net_conns non-zero
 #   record cache (Fig. 11) zipf_get_mops non-zero, cache_hit_pct a
 #                          percentage, cache_capacity recorded
@@ -78,6 +81,7 @@ log_overhead_pct          v <= $ov_max
 log_bytes_per_op          v > 0 && v <= 35
 log_overhead_1kb_pct      v > -1000 && v < 1000
 log_1kb_compression_ratio v > 1.0 && v < 10000
+mem_1kb_bytes_per_key     v > 0 && v <= 1300
 net_get_mops              v > 0
 net_conns                 v > 0
 zipf_get_mops             v > 0

@@ -15,6 +15,10 @@
 //  * Chunks are carved into 64 KB *spans*. A span belongs to one size class
 //    and one owning arena; its header lives at the span base, so free()
 //    recovers it by masking the object address.
+//  * Size classes step by 16 B up to 64 B and by one 64-byte cache line up
+//    to 4 KiB, so no request below 4 KiB wastes a cache line or more of its
+//    block, and the class index is computed, not searched. Owners that can
+//    use spare room (suffix bags) ask class_size_for() and take all of it.
 //  * Each thread owns an Arena: per-class bump carving plus a local LIFO free
 //    list. Frees from other threads push onto the span's lock-free remote
 //    list — the Streamflow local/remote split that avoids allocator lock
@@ -30,7 +34,9 @@
 
 #include <sys/mman.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -53,21 +59,60 @@ inline constexpr size_t kSpanMask = kSpanSize - 1;
 inline constexpr size_t kChunkSize = 2u << 20;  // 2 MB, one superpage
 inline constexpr size_t kObjectStart = kCacheLineSize;  // first object offset in a span
 
-// Size classes. Multiples of 64 from 64 up keep tree nodes cache-line
-// aligned; the small classes serve suffix bags and log records.
-inline constexpr size_t kSizeClasses[] = {16,  32,  48,   64,   128,  192,  256, 320,
-                                          384, 448, 512,  640,  768,  1024, 1536, 2048,
-                                          3072, 4096, 8192, 16384, 32768};
-inline constexpr unsigned kNumClasses = sizeof(kSizeClasses) / sizeof(kSizeClasses[0]);
-inline constexpr size_t kMaxClassSize = kSizeClasses[kNumClasses - 1];
+// Size classes: 16, 32, 48 and 64, then every multiple of 64 up to 4096,
+// then 8192, 16384 and 32768. Classes of 64 B and up are multiples of 64, so
+// tree nodes stay cache-line aligned; the fine 64-byte step bounds the slack
+// of every request up to 4 KiB under one cache line (a 1,048-byte 1 KiB row
+// takes 1088 B, not 1536). The small classes serve suffix bags and log
+// records.
+inline constexpr size_t kNumSmallClasses = 4;                  // 16..64 by 16
+inline constexpr size_t kMaxLineClassSize = 4096;              // 128..4096 by 64
+inline constexpr size_t kNumLineClasses = kMaxLineClassSize / 64 - 1;
+inline constexpr size_t kNumPow2Classes = 3;                   // 8192..32768
+inline constexpr unsigned kNumClasses =
+    static_cast<unsigned>(kNumSmallClasses + kNumLineClasses + kNumPow2Classes);
 
+inline constexpr auto kSizeClasses = [] {
+  std::array<size_t, kNumClasses> c{};
+  size_t i = 0;
+  for (size_t sz = 16; sz <= 64; sz += 16) {
+    c[i++] = sz;
+  }
+  for (size_t sz = 128; sz <= kMaxLineClassSize; sz += 64) {
+    c[i++] = sz;
+  }
+  for (size_t sz = 2 * kMaxLineClassSize; i < kNumClasses; sz *= 2) {
+    c[i++] = sz;
+  }
+  return c;
+}();
+inline constexpr size_t kMaxClassSize = kSizeClasses[kNumClasses - 1];
+static_assert(kMaxClassSize == 32768, "class table must end at 32 KiB");
+
+// Index of the smallest class that holds `bytes` (1 <= bytes), or
+// kNumClasses for a large allocation. Pure arithmetic: no walk over the
+// table on the allocation path.
 inline unsigned size_class_for(size_t bytes) {
-  for (unsigned i = 0; i < kNumClasses; ++i) {
-    if (bytes <= kSizeClasses[i]) {
-      return i;
-    }
+  if (bytes <= 48) {
+    return static_cast<unsigned>((bytes + 15) / 16 - 1);
+  }
+  if (bytes <= kMaxLineClassSize) {
+    // 49..64 -> 3 (the 64 class), 65..128 -> 4, ..., 4096 -> 66.
+    return static_cast<unsigned>((bytes + 63) / 64 + kNumSmallClasses - 2);
+  }
+  if (bytes <= kMaxClassSize) {
+    // 4097..8192 -> 67, 8193..16384 -> 68, 16385..32768 -> 69.
+    return static_cast<unsigned>(kNumSmallClasses + kNumLineClasses +
+                                 std::bit_width(bytes - 1) - std::bit_width(kMaxLineClassSize));
   }
   return kNumClasses;  // large
+}
+
+// Bytes a request of `bytes` actually occupies: its class size, or `bytes`
+// itself for a large allocation.
+inline size_t class_size_for(size_t bytes) {
+  unsigned ci = size_class_for(bytes);
+  return ci == kNumClasses ? bytes : kSizeClasses[ci];
 }
 
 struct FreeNode {

@@ -9,11 +9,12 @@
 // Our bag is a single allocation: a header with one packed (pos,len) word per
 // slot followed by append-only string data. Adaptivity: nodes start with no
 // bag at all (most nodes hold no suffixes); the first suffix allocates a
-// small bag sized to fit, and later overflow doubles it. Bags are append-only
-// — replacing a slot's suffix writes fresh bytes and republishes the packed
-// ref — so concurrent readers either see the old suffix or the new one, and
-// the insert's version/permutation validation sorts out which was current.
-// Old bags are epoch-reclaimed.
+// small bag, rounded up to its size class, and uses all of it; later
+// overflow doubles it. Bags are append-only — replacing a slot's suffix
+// writes fresh bytes and republishes the packed ref — so concurrent readers
+// either see the old suffix or the new one, and the insert's
+// version/permutation validation sorts out which was current. Old bags are
+// epoch-reclaimed.
 
 #ifndef MASSTREE_CORE_STRINGBAG_H_
 #define MASSTREE_CORE_STRINGBAG_H_
@@ -32,10 +33,11 @@ namespace masstree {
 // follows the header is properly aligned for std::atomic<uint64_t>.
 class alignas(8) StringBag {
  public:
-  // Builds an empty bag with room for `data_capacity` suffix bytes across
-  // `width` slots.
+  // Builds an empty bag with room for at least `data_capacity` suffix bytes
+  // across `width` slots. The allocation is rounded up to its Flow size
+  // class, and the bag takes the rounding as extra room.
   static StringBag* make(ThreadContext& ti, int width, size_t data_capacity) {
-    size_t bytes = header_bytes(width) + data_capacity;
+    size_t bytes = internal::class_size_for(header_bytes(width) + data_capacity);
     auto* bag = static_cast<StringBag*>(ti.allocate(bytes));
     bag->capacity_ = static_cast<uint32_t>(bytes);
     bag->used_ = static_cast<uint32_t>(header_bytes(width));
@@ -67,7 +69,7 @@ class alignas(8) StringBag {
     return bag;
   }
 
-  // Total allocation size (for memory accounting).
+  // Total allocation size, header included (for memory accounting).
   size_t capacity() const { return capacity_; }
   size_t used_bytes() const { return used_; }
 

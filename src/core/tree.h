@@ -58,7 +58,7 @@ struct TreeStats {
   uint64_t max_depth = 0;        // B+-tree depth of layer 0
   uint64_t layer_links = 0;      // number of next_layer pointers
   uint64_t node_bytes = 0;
-  uint64_t suffix_bytes = 0;     // capacity allocated to suffix bags
+  uint64_t suffix_bytes = 0;     // bytes allocated to suffix bags (class sizes)
   uint64_t suffix_used_bytes = 0;
 
   double avg_border_fill(int width) const {
@@ -881,6 +881,7 @@ class BasicTree {
       return;
     }
     // Grow: copy live suffixes into a bigger bag, publish, retire the old.
+    ti.counters().inc(Counter::kSuffixBagGrowths);
     uint32_t live = 0;
     Permuter perm(n->raw_permutation().load(std::memory_order_relaxed));
     for (int i = 0; i < perm.size(); ++i) {

@@ -78,6 +78,8 @@ enum class Counter : unsigned {
                            //   store had tripped (gets/scans keep serving)
   kNetIdleReaped,          // connections closed by the server's idle sweep
                            //   (no complete frame within idle_timeout_ms)
+  kSuffixBagGrowths,       // suffix bags outgrown and copied into a bigger
+                           //   one (copy + epoch retire per event, §4.2)
   kNumCounters,
 };
 

@@ -100,9 +100,12 @@ class Row {
  private:
   static Row* build(ThreadContext& ti, const Row* old, std::span<const ColumnUpdate> updates,
                     unsigned ncols, uint64_t version) {
-    // Resolve each column to its source (update wins over old row).
+    // Resolve each column to its source (update wins over old row). The
+    // scratch keeps its capacity across calls, so the row is the only
+    // allocation of a put once the thread has seen its widest row.
+    thread_local std::vector<std::string_view> cols;
     size_t total = 0;
-    std::vector<std::string_view> cols(ncols);
+    cols.resize(ncols);
     for (unsigned i = 0; i < ncols; ++i) {
       cols[i] = old != nullptr ? old->col(i) : std::string_view();
     }

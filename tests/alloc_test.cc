@@ -26,6 +26,47 @@ TEST(Flow, SizeClassLookup) {
   EXPECT_EQ(size_class_for(100000), internal::kNumClasses);  // large
 }
 
+TEST(Flow, SizeClassesBoundSlack) {
+  using internal::kNumClasses;
+  using internal::kSizeClasses;
+  for (size_t i = 0; i < kNumClasses; ++i) {
+    if (kSizeClasses[i] >= 64) {
+      EXPECT_EQ(kSizeClasses[i] % 64, 0u) << "class " << kSizeClasses[i];
+    }
+  }
+  for (size_t bytes = 1; bytes <= internal::kMaxClassSize; ++bytes) {
+    unsigned ci = internal::size_class_for(bytes);
+    unsigned linear = 0;
+    while (kSizeClasses[linear] < bytes) {
+      ++linear;
+    }
+    ASSERT_EQ(ci, linear) << "bytes " << bytes;
+    size_t sz = kSizeClasses[ci];
+    ASSERT_GE(sz, bytes);
+    ASSERT_EQ(internal::class_size_for(bytes), sz);
+    if (bytes <= 64) {
+      ASSERT_LT(sz - bytes, 16u) << "bytes " << bytes;
+    } else if (bytes <= 4096) {
+      ASSERT_LT(sz - bytes, 64u) << "bytes " << bytes;
+    }
+  }
+  EXPECT_EQ(internal::size_class_for(internal::kMaxClassSize + 1), kNumClasses);
+  EXPECT_EQ(internal::class_size_for(internal::kMaxClassSize + 1), internal::kMaxClassSize + 1);
+}
+
+TEST(Flow, KiBRowsPackSixtyPerSpan) {
+  // A 1 KiB single-column row asks for 1,048 B (16 B header, 8 B offsets,
+  // 1,024 B data). Its 1088-byte class fits 60 per 64 KB span; a 1536-byte
+  // class would fit 42 and need 29 spans here.
+  Flow flow;
+  Arena* a = flow.acquire_arena();
+  for (int i = 0; i < 1200; ++i) {
+    a->allocate(1048);
+  }
+  EXPECT_EQ(a->stats().spans, 20u);
+  flow.release_arena(a);
+}
+
 TEST(Flow, AllocateWriteFree) {
   Flow flow;
   Arena* a = flow.acquire_arena();

@@ -4,7 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
+
+// Global operator new, replaced to count the heap allocations made while
+// g_count_news is set (Row.BuildAllocatesOnlyTheRow).
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() meet operator new's
+// pointer at an inlined call site.
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace masstree {
 namespace {
@@ -93,6 +117,28 @@ TEST_F(RowTest, TenByFourColumns) {
     EXPECT_EQ(r->col(i), data[i]);
     EXPECT_EQ(r->col(i).size(), 4u);
   }
+  Row::deallocate(r);
+}
+
+TEST(Row, BuildAllocatesOnlyTheRow) {
+  // A put builds its row in one Flow allocation; resolving the columns
+  // must not touch the heap once the thread has built a row this wide.
+  ThreadContext ti;
+  std::string value(1024, 'v');
+  Row* r = Row::make(ti, {{0, value}}, 1);
+  Row* warm = Row::update(ti, r, {{0, value}}, 2);
+  Row::deallocate(r);
+  r = warm;
+  g_news.store(0);
+  g_count_news.store(true);
+  for (uint64_t v = 3; v < 1003; ++v) {
+    Row* next = Row::update(ti, r, {{0, value}}, v);
+    Row::deallocate(r);
+    r = next;
+  }
+  g_count_news.store(false);
+  EXPECT_EQ(g_news.load(), 0u);
+  EXPECT_EQ(r->col(0), value);
   Row::deallocate(r);
 }
 

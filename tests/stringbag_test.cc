@@ -37,9 +37,18 @@ TEST_F(StringBagTest, BinarySuffixes) {
 }
 
 TEST_F(StringBagTest, OverflowReturnsFalse) {
+  // A bag holds at least its request and at most its size class; once
+  // filled to capacity() it refuses even one more byte.
   StringBag* bag = StringBag::make(ti_, 15, 8);
+  ASSERT_GE(bag->capacity(), bag->used_bytes() + 8);
+  EXPECT_EQ(bag->capacity(), internal::class_size_for(bag->capacity()));
   EXPECT_TRUE(bag->assign(0, "12345678"));
-  EXPECT_FALSE(bag->assign(1, "x"));  // full
+  std::string rest(bag->capacity() - bag->used_bytes(), 'r');
+  EXPECT_TRUE(bag->assign(1, rest));
+  EXPECT_EQ(bag->used_bytes(), bag->capacity());
+  EXPECT_FALSE(bag->assign(2, "x"));  // full
+  EXPECT_EQ(bag->get(0), "12345678");
+  EXPECT_EQ(bag->get(1), rest);
   Arena::deallocate(bag);
 }
 

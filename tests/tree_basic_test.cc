@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
@@ -229,16 +230,42 @@ TEST_F(TreeTest, EmptyLayerGcViaMaintenance) {
 
 TEST_F(TreeTest, SuffixBagGrowth) {
   // Many long-suffix keys landing in one node force bag growth.
-  std::string slice8 = "SLICE00_";
+  uint64_t growths0 = ti_.counters().get(Counter::kSuffixBagGrowths);
   for (int i = 0; i < 8; ++i) {
     std::string k = std::string(1, 'a' + i) + "2345678" + std::string(100, 'x') +
                     std::to_string(i);
     ASSERT_TRUE(Put(k, i));
   }
+  EXPECT_GT(ti_.counters().get(Counter::kSuffixBagGrowths), growths0);
   for (int i = 0; i < 8; ++i) {
     std::string k = std::string(1, 'a' + i) + "2345678" + std::string(100, 'x') +
                     std::to_string(i);
     ASSERT_EQ(Get(k), static_cast<uint64_t>(i));
+  }
+}
+
+TEST_F(TreeTest, ShortSuffixBagUsesItsWholeSizeClass) {
+  // 15 ten-byte keys with distinct 8-byte slices fill one border, each with
+  // a 2-byte suffix. The first bag asks for 2 + 24 data bytes; its size
+  // class has room for all 15 suffixes, and the bag must use that room
+  // instead of growing (a bag that used only its request grew at key 14).
+  auto key = [](int i) {
+    char k[11];
+    std::snprintf(k, sizeof(k), "key%05dzz", i);
+    return std::string(k, 10);
+  };
+  uint64_t growths0 = ti_.counters().get(Counter::kSuffixBagGrowths);
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(Put(key(i), i));
+  }
+  EXPECT_EQ(ti_.counters().get(Counter::kSuffixBagGrowths), growths0);
+  TreeStats st = tree_.collect_stats();
+  EXPECT_EQ(st.border_nodes, 1u);
+  // The bag's capacity is the whole block it was given: a class size.
+  EXPECT_EQ(st.suffix_bytes, internal::class_size_for(st.suffix_bytes));
+  EXPECT_LE(st.suffix_used_bytes, st.suffix_bytes);
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_EQ(Get(key(i)), static_cast<uint64_t>(i));
   }
 }
 
