@@ -14,50 +14,46 @@
 // opens the files the committed MANIFEST names. Once the new MANIFEST's
 // rename is durable, parts it does not name are unlinked.
 //
-// Part format: the file opens with "MTCK" u8 format_version (2), then
-// varint-framed records sharing the log's column encoding:
-//
-//   varint payload_len | payload | u32 crc32c(payload)
-//   payload: varint klen | key | varint row_version | varint ncols |
-//            per column: varint h = raw_len * 2 | compressed,
-//                        [varint stored_len when compressed], stored bytes
-//
-// Columns at or above the writer's compress threshold are lz-compressed
-// with an incompressible bail-out, mirroring the log. A part without the
-// header reads as empty; an unknown header version fail-stops rather than
-// reading as an empty checkpoint.
+// Part format: a part is an ordinary log stream (log/logrecord.h) — the
+// "MTLG" 2 header, then one put record per row carrying the row's columns
+// numbered 0..n-1, its row version, and an absolute timestamp of 0
+// (recovery never reads a checkpoint record's timestamp, and with no delta
+// chain a torn part still decodes to its intact prefix). Parts are written
+// with the log's column planner and encoder and read back by
+// read_log_file, so columns are compressed under the same rule as in the
+// log. A headerless part reads as empty; an unknown header version
+// fail-stops. The MANIFEST names this format as "masstree-checkpoint v2";
+// recovery refuses a MANIFEST of any other masstree-checkpoint version
+// rather than read its parts as empty.
 
 #ifndef MASSTREE_CHECKPOINT_CHECKPOINT_H_
 #define MASSTREE_CHECKPOINT_CHECKPOINT_H_
 
 #include <fcntl.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "util/crc32.h"
-#include "util/file.h"
+#include "log/logrecord.h"
 #include "util/io.h"
-#include "util/lz.h"
-#include "util/varint.h"
 
 namespace masstree {
 
-inline constexpr char kCkptMagic[4] = {'M', 'T', 'C', 'K'};
-inline constexpr uint8_t kCkptFormatV2 = 2;
+inline constexpr char kManifestHeader[] = "masstree-checkpoint v2";
 
 struct CheckpointManifest {
   uint64_t start_ts_us = 0;      // wall clock when the checkpoint began
   uint64_t version_floor = 0;    // value-version counter at start
   unsigned parts = 0;
+  // A masstree MANIFEST of another format version: its parts are
+  // unreadable here, which recovery must not mistake for "no checkpoint".
+  bool unsupported = false;
   bool valid = false;
 };
 
@@ -95,7 +91,7 @@ inline bool sync_dir(const std::string& dir) {
 // synced too: returning true means the commit is durable.
 inline bool write_manifest(const std::string& dir, const CheckpointManifest& m) {
   std::string tmp = dir + "/MANIFEST.tmp";
-  std::string body = "masstree-checkpoint v1\nstart_ts_us " +
+  std::string body = std::string(kManifestHeader) + "\nstart_ts_us " +
                      std::to_string(m.start_ts_us) + "\nversion_floor " +
                      std::to_string(m.version_floor) + "\nparts " +
                      std::to_string(m.parts) + "\n";
@@ -157,7 +153,8 @@ inline CheckpointManifest read_manifest(const std::string& dir) {
   }
   std::string header;
   std::getline(in, header);
-  if (header != "masstree-checkpoint v1") {
+  if (header != kManifestHeader) {
+    m.unsupported = header.rfind("masstree-checkpoint ", 0) == 0;
     return m;
   }
   std::string field;
@@ -174,11 +171,13 @@ inline CheckpointManifest read_manifest(const std::string& dir) {
   return m;
 }
 
-// Streaming writer for one part file (varint framing + per-column lz
-// compression above `compress_threshold`, 0 disables). Writes go through
-// the masstree::io seam, so checkpoint parts are covered by the same fault
-// plans (ENOSPC, short writes, power cuts) as the log; the first failing
-// syscall's context is kept for the store's read-only trip line.
+// Streaming writer for one part file: the log's header, then one put
+// record per row (columns 0..n-1, the row version, timestamp 0), each
+// planned by logwire::plan_column and encoded by logwire::encode_put_to.
+// Writes go through the masstree::io seam, so checkpoint parts are covered
+// by the same fault plans (ENOSPC, short writes, power cuts) as the log;
+// the first failing syscall's context is kept for the store's read-only
+// trip line.
 class CheckpointPartWriter {
  public:
   explicit CheckpointPartWriter(const std::string& path,
@@ -189,10 +188,8 @@ class CheckpointPartWriter {
       err_ = io::IoErrorDetail{"open", path_, 0, errno};
       return;
     }
-    char hdr[5];
-    std::memcpy(hdr, kCkptMagic, 4);
-    hdr[4] = static_cast<char>(kCkptFormatV2);
-    write_all(hdr, sizeof(hdr));
+    char hdr[logwire::kHeaderSize];
+    write_all(hdr, logwire::encode_header_to(hdr));
   }
 
   ~CheckpointPartWriter() {
@@ -210,40 +207,35 @@ class CheckpointPartWriter {
 
   void add(std::string_view key, uint64_t row_version,
            const std::vector<std::string_view>& cols) {
-    // Compress eligible columns first so the payload varints carry final
-    // sizes. Checkpointing runs on background workers, so a heap scratch
-    // (reused across add calls) is fine here, unlike the log append path.
-    payload_.clear();
-    put_varint(key.size());
-    payload_.append(key);
-    put_varint(row_version);
-    put_varint(cols.size());
-    for (const auto& c : cols) {
-      size_t csize = 0;
-      if (threshold_ != 0 && c.size() >= threshold_) {
-        scratch_.resize(c.size() - 1);
-        csize = lz::compress(c.data(), c.size(), scratch_.data(),
-                             scratch_.size());
-      }
-      put_varint((static_cast<uint64_t>(c.size()) << 1) | (csize != 0));
-      if (csize != 0) {
-        put_varint(csize);
-        payload_.append(scratch_.data(), csize);
-      } else {
-        payload_.append(c);
-      }
+    // buf_ holds the compressed columns, then the encoded record. Its
+    // front always has room for every column raw, so the compress-or-raw
+    // decisions never depend on the buffer's history; a record that does
+    // not fit behind them grows buf_ and is planned again.
+    size_t raw = 0;
+    for (std::string_view c : cols) {
+      raw += c.size();
     }
-    // One write per record (frame + payload + crc): record boundaries are
-    // syscall boundaries, which is what gives the crash-point sweep its
-    // torn-record coverage.
-    char frame[vint::kMaxBytes];
-    record_.clear();
-    record_.append(frame, static_cast<size_t>(
-                              vint::put(frame, payload_.size()) - frame));
-    record_.append(payload_);
-    uint32_t crc = crc32(payload_);
-    record_.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    write_all(record_.data(), record_.size());
+    buf_.resize(std::max(buf_.size(), raw));
+    plans_.resize(cols.size());
+    for (;;) {
+      size_t front = 0;
+      for (size_t i = 0; i < cols.size(); ++i) {
+        plans_[i] = logwire::plan_column(static_cast<uint32_t>(i), cols[i], threshold_,
+                                         buf_.data() + front, buf_.size() - front);
+        front += plans_[i].compressed ? plans_[i].stored_len : 0;
+      }
+      size_t n = logwire::put_record_size(key, plans_.data(), plans_.size(), row_version, 0);
+      if (front + n <= buf_.size()) {
+        logwire::encode_put_to(buf_.data() + front, key, plans_.data(), plans_.size(),
+                               row_version, 0, /*delta=*/false);
+        // One write per record: record boundaries are syscall boundaries,
+        // which is what gives the crash-point sweep its torn-record
+        // coverage.
+        write_all(buf_.data() + front, n);
+        break;
+      }
+      buf_.resize(front + n);
+    }
     ++records_;
   }
 
@@ -262,11 +254,6 @@ class CheckpointPartWriter {
   }
 
  private:
-  void put_varint(uint64_t v) {
-    char buf[vint::kMaxBytes];
-    payload_.append(buf, static_cast<size_t>(vint::put(buf, v) - buf));
-  }
-
   void write_all(const char* p, size_t n) {
     if (!ok()) {
       return;  // fail-stop: never write past the first error
@@ -292,120 +279,10 @@ class CheckpointPartWriter {
   io::IoErrorDetail err_;
   uint64_t written_ = 0;
   size_t threshold_;
-  std::string payload_;
-  std::string record_;
-  std::string scratch_;
+  std::vector<char> buf_;
+  std::vector<logwire::ColPlan> plans_;
   uint64_t records_ = 0;
 };
-
-struct CheckpointRecord {
-  std::string key;
-  uint64_t row_version;
-  std::vector<std::string> cols;
-};
-
-namespace ckptwire {
-
-// Record stream starting at `pos` (just past the header).
-inline void read_records(const std::string& data, size_t pos,
-                         std::vector<CheckpointRecord>* out) {
-  const char* base = data.data();
-  const char* dend = base + data.size();
-  while (pos < data.size()) {
-    uint64_t len;
-    const char* q = vint::get(base + pos, dend, &len);
-    if (q == nullptr || len > (1u << 30)) {
-      break;
-    }
-    size_t payload_off = static_cast<size_t>(q - base);
-    if (data.size() - payload_off < static_cast<size_t>(len) + 4) {
-      break;
-    }
-    uint32_t want;
-    std::memcpy(&want, base + payload_off + len, sizeof(want));
-    if (crc32(base + payload_off, static_cast<size_t>(len)) != want) {
-      break;
-    }
-    const char* p = base + payload_off;
-    const char* end = p + len;
-    CheckpointRecord r;
-    uint64_t klen;
-    p = vint::get(p, end, &klen);
-    if (p == nullptr || klen > static_cast<size_t>(end - p)) break;
-    r.key.assign(p, static_cast<size_t>(klen));
-    p += klen;
-    p = vint::get(p, end, &r.row_version);
-    if (p == nullptr) break;
-    uint64_t ncols;
-    p = vint::get(p, end, &ncols);
-    if (p == nullptr || ncols > 0xffff) break;
-    bool bad = false;
-    for (uint64_t i = 0; i < ncols; ++i) {
-      uint64_t h;
-      p = vint::get(p, end, &h);
-      if (p == nullptr) {
-        bad = true;
-        break;
-      }
-      uint64_t raw_len = h >> 1;
-      if (raw_len > (1u << 28)) {
-        bad = true;
-        break;
-      }
-      if (h & 1) {
-        uint64_t stored;
-        p = vint::get(p, end, &stored);
-        if (p == nullptr || stored > static_cast<size_t>(end - p)) {
-          bad = true;
-          break;
-        }
-        std::string col;
-        col.resize(static_cast<size_t>(raw_len));
-        if (!lz::decompress(p, static_cast<size_t>(stored), col.data(),
-                            col.size())) {
-          bad = true;
-          break;
-        }
-        p += stored;
-        r.cols.push_back(std::move(col));
-      } else {
-        if (raw_len > static_cast<size_t>(end - p)) {
-          bad = true;
-          break;
-        }
-        r.cols.emplace_back(p, static_cast<size_t>(raw_len));
-        p += raw_len;
-      }
-    }
-    if (bad || p != end) {
-      break;
-    }
-    out->push_back(std::move(r));
-    pos = payload_off + static_cast<size_t>(len) + 4;
-  }
-}
-
-}  // namespace ckptwire
-
-// Reads a whole part file; stops silently at a torn/corrupt tail (a crash
-// mid-part without a manifest would not be read at all; this is extra
-// defensiveness for damaged storage). A file without the "MTCK" header
-// (missing, empty, torn or foreign) reads as empty; an unknown header
-// version throws instead — fail-stop beats silently restoring nothing.
-inline std::vector<CheckpointRecord> read_checkpoint_part(const std::string& path) {
-  std::vector<CheckpointRecord> out;
-  std::string data = read_whole_file(path);
-  if (data.size() < 5 || std::memcmp(data.data(), kCkptMagic, 4) != 0) {
-    return out;
-  }
-  uint8_t ver = static_cast<uint8_t>(data[4]);
-  if (ver != kCkptFormatV2) {
-    throw std::runtime_error("checkpoint: unsupported part format version " +
-                             std::to_string(ver) + " in " + path);
-  }
-  ckptwire::read_records(data, 5, &out);
-  return out;
-}
 
 }  // namespace masstree
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -62,17 +63,10 @@ class Store {
     // lz-compressed transparently in both the log and checkpoint parts
     // (0 disables compression).
     Logger::Options logger;
-    // Dedicated background maintenance & epoch-advancement thread (§4.6.1,
-    // §4.6.5): empty-layer GC and epoch advances leave the foreground write
-    // path entirely. When disabled, both piggyback on write traffic as
-    // before.
-    bool maintenance_thread = true;
-    uint64_t maintenance_interval_ms = 1;
     // Hot-key record cache in front of the tree (cache/record_cache.h):
     // entry count, rounded up to a power of two; 0 disables the cache.
+    // Admission uses RecordCache::Config's default threshold.
     size_t cache_capacity = 1 << 16;
-    // Count-min-sketch admission threshold; <= 1 admits every miss.
-    uint32_t cache_admit_threshold = 4;
   };
 
   // A per-worker-thread handle: thread context + (lazily, on first logged
@@ -134,14 +128,12 @@ class Store {
     ThreadContext setup_ti;
     tree_ = std::make_unique<Tree>(setup_ti);
     if (opt_.cache_capacity > 0) {
-      cache_ = std::make_unique<RecordCache<Tree::Config>>(
-          RecordCache<Tree::Config>::Config{opt_.cache_capacity,
-                                            opt_.cache_admit_threshold});
+      RecordCache<Tree::Config>::Config cfg;
+      cfg.capacity = opt_.cache_capacity;
+      cache_ = std::make_unique<RecordCache<Tree::Config>>(cfg);
       tree_->set_record_cache(cache_.get());
     }
-    if (opt_.maintenance_thread) {
-      start_maintenance();
-    }
+    start_maintenance();
   }
 
   ~Store() {
@@ -353,7 +345,6 @@ class Store {
         ensure_log(s)->append_batch(std::span<const LogShard::BatchOp>(lops));
       }
     }
-    maybe_maintain(s);
     return applied;
   }
 
@@ -407,8 +398,9 @@ class Store {
   // operations continue. The MANIFEST is written only after every
   // part completes. Parts are named by the start time, so this never
   // rewrites the parts the committed MANIFEST names; those are unlinked
-  // once the new MANIFEST is durable.
+  // once the new MANIFEST is durable. nworkers == 0 means one worker.
   bool checkpoint(const std::string& dir, unsigned nworkers) {
+    nworkers = std::max(1u, nworkers);
     ::mkdir(dir.c_str(), 0755);
     CheckpointManifest committed = read_manifest(dir);
     CheckpointManifest m;
@@ -534,13 +526,21 @@ class Store {
 
   // Full §5 recovery into this (empty) store: load the checkpoint if one
   // completed, then replay logs from the checkpoint's start time up to the
-  // cutoff t = min over logs of last timestamp.
+  // cutoff t = min over logs of last timestamp. nthreads == 0 means one
+  // replay thread.
   RecoveryResult recover(const std::string& checkpoint_dir, const std::string& log_dir,
                          unsigned nthreads) {
+    nthreads = std::max(1u, nthreads);
     RecoveryResult res;
     uint64_t since = 0;
     CheckpointManifest m =
         checkpoint_dir.empty() ? CheckpointManifest{} : read_manifest(checkpoint_dir);
+    if (m.unsupported) {
+      // The logs it replaced may already be truncated: restoring nothing
+      // would silently lose them.
+      throw std::runtime_error("checkpoint: unsupported MANIFEST version in " +
+                               checkpoint_dir);
+    }
     if (m.valid) {
       res.used_checkpoint = true;
       since = m.start_ts_us;
@@ -555,20 +555,34 @@ class Store {
         }
       }
       std::atomic<uint64_t> loaded{0};
+      // A part this build cannot read (unknown header version) throws from
+      // its worker; the first such error is rethrown here after the join.
+      std::mutex fail_mu;
+      std::exception_ptr failed;
       std::vector<std::thread> workers;
       for (unsigned w = 0; w < m.parts; ++w) {
         workers.emplace_back([&, w] {
           Session s(*this, w);
-          auto records =
-              read_checkpoint_part(checkpoint_part_path(checkpoint_dir, m.start_ts_us, w));
-          for (auto& r : records) {
-            apply_row(r.key, r.cols, r.row_version, s);
+          try {
+            std::vector<LogEntry> records =
+                read_log_file(checkpoint_part_path(checkpoint_dir, m.start_ts_us, w));
+            for (const LogEntry& e : records) {
+              apply_entry(e, s);
+            }
+            loaded.fetch_add(records.size(), std::memory_order_relaxed);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(fail_mu);
+            if (!failed) {
+              failed = std::current_exception();
+            }
           }
-          loaded.fetch_add(records.size(), std::memory_order_relaxed);
         });
       }
       for (auto& t : workers) {
         t.join();
+      }
+      if (failed) {
+        std::rethrow_exception(failed);
       }
       res.checkpoint_records = loaded.load();
     }
@@ -596,16 +610,7 @@ class Store {
       workers.emplace_back([&, w] {
         Session s(*this, w);
         for (const LogEntry* e : parts[w]) {
-          if (e->type == LogType::kPut) {
-            std::vector<ColumnUpdate> updates;
-            updates.reserve(e->columns.size());
-            for (const auto& [c, d] : e->columns) {
-              updates.push_back(ColumnUpdate{c, d});
-            }
-            apply_update(e->key, updates, e->version, s);
-          } else {
-            apply_remove(e->key, e->version, s);
-          }
+          apply_entry(*e, s);
           applied.fetch_add(1, std::memory_order_relaxed);
         }
       });
@@ -619,8 +624,6 @@ class Store {
   }
 
   // ------------------------------------------------------------------
-  void run_maintenance(Session& s) { tree_->run_maintenance(s.ti_); }
-
   // Force everything appended so far to storage: each logging thread runs a
   // full group-commit round (drain + heartbeat marker + fdatasync) begun
   // after this call.
@@ -758,17 +761,6 @@ class Store {
     }
   }
 
-  void maybe_maintain(Session& s) {
-    if (opt_.maintenance_thread) {
-      return;  // the background thread owns the tick; writes pay nothing
-    }
-    // Legacy piggyback: deferred empty-layer cleanups ride on write traffic
-    // (§4.6.5) when no maintenance thread is running.
-    if ((maintenance_tick_.fetch_add(1, std::memory_order_relaxed) & 0xFFF) == 0) {
-      tree_->run_maintenance(s.ti_);
-    }
-  }
-
   // ---- per-session log shards --------------------------------------
   LogShard* ensure_log(Session& s) {
     if (MT_UNLIKELY(s.log_ == nullptr)) {
@@ -824,13 +816,18 @@ class Store {
   }
 
   // ---- background maintenance & epoch advancement ------------------
+  // A dedicated thread (§4.6.1, §4.6.5) runs empty-layer GC and advances
+  // the epoch every kMaintenanceIntervalMs, so neither rides on the
+  // foreground write path.
+  static constexpr uint64_t kMaintenanceIntervalMs = 1;
+
   void start_maintenance() {
     maint_thread_ = std::thread([this] {
       ThreadContext ti;
       ThreadContext::BackgroundAdvancer advancer(ti);
       std::unique_lock<std::mutex> lock(maint_mu_);
       while (!maint_stop_) {
-        maint_cv_.wait_for(lock, std::chrono::milliseconds(opt_.maintenance_interval_ms),
+        maint_cv_.wait_for(lock, std::chrono::milliseconds(kMaintenanceIntervalMs),
                            [this] { return maint_stop_; });
         if (maint_stop_) {
           break;
@@ -844,9 +841,6 @@ class Store {
   }
 
   void stop_maintenance() {
-    if (!maint_thread_.joinable()) {
-      return;
-    }
     {
       std::lock_guard<std::mutex> lock(maint_mu_);
       maint_stop_ = true;
@@ -855,42 +849,38 @@ class Store {
     maint_thread_.join();
   }
 
-  // Recovery appliers: last-writer-wins by version (rows carry versions, so
+  // The one recovery applier, for checkpoint records and replayed log
+  // entries alike: last-writer-wins by version (rows carry versions, so
   // checkpoint state and log replay compose regardless of arrival order).
-  void apply_row(std::string_view key, const std::vector<std::string>& cols, uint64_t version,
-                 Session& s) {
-    std::vector<ColumnUpdate> updates;
-    updates.reserve(cols.size());
-    for (unsigned i = 0; i < cols.size(); ++i) {
-      updates.push_back(ColumnUpdate{i, cols[i]});
-    }
-    apply_update(key, updates, version, s);
-  }
-
   // One entry at a time through Tree::put_with, never batched: a batch's
   // last-write-wins dedupe would drop earlier partial-column updates.
-  void apply_update(std::string_view key, const std::vector<ColumnUpdate>& updates,
-                    uint64_t version, Session& s) {
-    Tree::PutRequest rq{key};
-    tree_->put_with(
-        rq,
-        [&](size_t, bool found, uint64_t old) {
-          if (found && Row::from_slot(old)->version() >= version) {
-            return old;  // keep the newer row
-          }
-          return replace_row(found, old, updates, version, s);
-        },
-        [](size_t, uint64_t) {}, s.ti_);
-    track_version(version);
-  }
-
-  void apply_remove(std::string_view key, uint64_t version, Session& s) {
-    Tree::PutRequest rq{key, 0, /*remove=*/true};
-    tree_->put_with(
-        rq, [](size_t, bool, uint64_t) { return uint64_t{0}; },
-        [&](size_t, uint64_t old) { s.ti_.retire(Row::from_slot(old), Row::deallocate); },
-        s.ti_);
-    track_version(version);
+  void apply_entry(const LogEntry& e, Session& s) {
+    if (e.type == LogType::kPut) {
+      std::vector<ColumnUpdate> updates;
+      updates.reserve(e.columns.size());
+      for (const auto& [c, d] : e.columns) {
+        updates.push_back(ColumnUpdate{c, d});
+      }
+      Tree::PutRequest rq{e.key};
+      tree_->put_with(
+          rq,
+          [&](size_t, bool found, uint64_t old) {
+            if (found && Row::from_slot(old)->version() >= e.version) {
+              return old;  // keep the newer row
+            }
+            return replace_row(found, old, updates, e.version, s);
+          },
+          [](size_t, uint64_t) {}, s.ti_);
+    } else if (e.type == LogType::kRemove) {
+      Tree::PutRequest rq{e.key, 0, /*remove=*/true};
+      tree_->put_with(
+          rq, [](size_t, bool, uint64_t) { return uint64_t{0}; },
+          [&](size_t, uint64_t old) { s.ti_.retire(Row::from_slot(old), Row::deallocate); },
+          s.ti_);
+    } else {
+      return;  // markers carry no state
+    }
+    track_version(e.version);
   }
 
   // The copy-on-write row swap of a put (§4.7), run under the border lock:
@@ -927,7 +917,6 @@ class Store {
   bool maint_stop_ = false;
   std::atomic<uint64_t> version_counter_{0};
   std::atomic<uint64_t> max_version_seen_{0};
-  std::atomic<uint64_t> maintenance_tick_{0};
   // Read-only degraded mode (sticky; see note_io_error).
   std::atomic<bool> read_only_{false};
   std::atomic<uint64_t> ro_trips_{0};

@@ -159,11 +159,11 @@ class LogShard {
   // (the §5 recovery cutoff invariant) is untouched. Record order is
   // preserved.
   //
-  // Values at or above compress_threshold_ are lz-compressed into a stack
-  // scratch before the record is sized, so the arena reservation is exact
-  // and the path stays allocation-free (Counter::kLogAllocs == 0 in steady
-  // state, compression included). Incompressible data bails out to raw
-  // storage: compress() is given a budget of raw_len - 1 bytes. Two kinds
+  // Each column is planned by logwire::plan_column (compressed into a stack
+  // scratch at or above compress_threshold_, raw when that does not shrink
+  // it) before the record is sized, so the arena reservation is exact and
+  // the path stays allocation-free (Counter::kLogAllocs == 0 in steady
+  // state, compression included). Two kinds
   // of record cannot share a chunk and are planned alone: one with more
   // than kBatchPlanCols columns plans into a heap array (one kLogAllocs),
   // and one larger than an arena half goes out through append_jumbo.
@@ -212,27 +212,13 @@ class LogShard {
         for (size_t c = 0; c < ncols; ++c) {
           const ColumnUpdate& u = op.updates[c];
           logwire::ColPlan& pl = plans[plan_used + c];
-          pl.col = u.col;
-          pl.data = u.data.data();
-          pl.raw_len = static_cast<uint32_t>(u.data.size());
-          pl.stored_len = pl.raw_len;
-          pl.compressed = false;
-          if (compress_threshold_ != 0 && u.data.size() >= compress_threshold_ &&
-              u.data.size() <= logwire::kMaxColumnRaw) {
-            size_t cap = u.data.size() - 1;
-            size_t room = sizeof(scratch) - scratch_used;
-            if (cap > room) cap = room;
-            size_t z = cap == 0 ? 0
-                                : lz::compress(u.data.data(), u.data.size(),
-                                               scratch + scratch_used, cap);
-            if (z != 0) {
-              pl.data = scratch + scratch_used;
-              pl.stored_len = static_cast<uint32_t>(z);
-              pl.compressed = true;
-              scratch_used += z;
-              rm.saved += u.data.size() - z;
-              rm.compressed = true;
-            }
+          pl = logwire::plan_column(u.col, u.data, compress_threshold_,
+                                    scratch + scratch_used,
+                                    sizeof(scratch) - scratch_used);
+          if (pl.compressed) {
+            scratch_used += pl.stored_len;
+            rm.saved += pl.raw_len - pl.stored_len;
+            rm.compressed = true;
           }
         }
         size_t sz_rest = record_size(op, plans + rm.plan_off, ncols, 0);

@@ -1,8 +1,13 @@
-// Log record encoding (§5).
+// Log record encoding (§5): the one on-disk record format.
 //
 // "A put operation appends to the query thread's log buffer ... Update
 //  version numbers are written into the log along with the operation, and
 //  each log record is timestamped."
+//
+// Log files and checkpoint parts are both streams of this format: a
+// checkpoint part is a header followed by one put record per row (see
+// checkpoint/checkpoint.h), so one encoder, one compress-or-raw rule
+// (plan_column) and one decoder (decode_all) cover everything on disk.
 //
 // == Format ==
 //
@@ -58,11 +63,11 @@
 //
 // The encoders come in two shapes: exact-size calculators plus in-place
 // `encode_*_to(char*)` writers for the wait-free per-worker log buffers
-// (the append fast path never allocates — column payloads are described
-// by ColPlan entries pointing at caller-owned bytes, compressed or raw),
-// and `std::string`-appending wrappers for recovery tooling and tests
-// (these prepend a header when the string is empty and always write
-// absolute timestamps).
+// and the checkpoint writer (the append fast path never allocates —
+// column payloads are described by ColPlan entries pointing at
+// caller-owned bytes, compressed or raw), and `std::string`-appending
+// wrappers for recovery tooling and tests (these prepend a header when
+// the string is empty and always write absolute timestamps).
 
 #ifndef MASSTREE_LOG_LOGRECORD_H_
 #define MASSTREE_LOG_LOGRECORD_H_
@@ -149,6 +154,27 @@ struct ColPlan {
   uint32_t raw_len = 0;  // == stored_len when not compressed
   bool compressed = false;
 };
+
+// The compress-or-raw decision for one column.  A column of at least
+// `threshold` bytes (0 disables) and at most kMaxColumnRaw is
+// lz-compressed into `scratch`, with a budget of raw_len - 1 bytes capped
+// by `room`; a column that does not shrink within it is stored raw.
+inline ColPlan plan_column(uint32_t col, std::string_view data,
+                           size_t threshold, char* scratch, size_t room) {
+  ColPlan p{col, data.data(), static_cast<uint32_t>(data.size()),
+            static_cast<uint32_t>(data.size()), false};
+  if (threshold != 0 && data.size() >= threshold &&
+      data.size() <= kMaxColumnRaw) {
+    size_t cap = data.size() - 1 < room ? data.size() - 1 : room;
+    size_t z = cap == 0 ? 0 : lz::compress(data.data(), data.size(), scratch, cap);
+    if (z != 0) {
+      p.data = scratch;
+      p.stored_len = static_cast<uint32_t>(z);
+      p.compressed = true;
+    }
+  }
+  return p;
+}
 
 namespace detail {
 

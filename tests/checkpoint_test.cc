@@ -1,7 +1,7 @@
-// Checkpoint subsystem tests (§5): part-file format round-trips, full
-// checkpoint -> restore against an oracle, log-tail replay on top of a
-// checkpoint, and recovery after torn/truncated checkpoint files or an
-// interrupted (manifest-less) checkpoint.
+// Checkpoint subsystem tests (§5): what the part writer puts in its log
+// stream, full checkpoint -> restore against an oracle, log-tail replay on
+// top of a checkpoint, and recovery after torn/truncated checkpoint files,
+// an interrupted (manifest-less) checkpoint, or an old MANIFEST version.
 
 #include <gtest/gtest.h>
 
@@ -98,6 +98,19 @@ void expect_store_matches(Store& store, const RowOracle& oracle) {
 }
 
 // ---------------- part-file format ----------------
+//
+// A part is a log stream read back by read_log_file, so these check what
+// the checkpoint writer puts into it; log_test covers the decoder itself.
+
+// A decoded checkpoint record's columns, which the writer numbers 0..n-1.
+std::vector<std::string> row_cols(const LogEntry& e) {
+  std::vector<std::string> cols;
+  for (const auto& [c, d] : e.columns) {
+    EXPECT_EQ(c, cols.size());
+    cols.push_back(d);
+  }
+  return cols;
+}
 
 TEST(CheckpointFormat, PartFileRoundTripsBinaryRecords) {
   TempDir dir("format");
@@ -111,17 +124,20 @@ TEST(CheckpointFormat, PartFileRoundTripsBinaryRecords) {
     EXPECT_EQ(out.records(), 3u);
     out.finish();
   }
-  auto records = read_checkpoint_part(path);
+  auto records = read_log_file(path);
   ASSERT_EQ(records.size(), 3u);
+  for (const LogEntry& e : records) {
+    EXPECT_EQ(e.type, LogType::kPut);
+    EXPECT_EQ(e.timestamp_us, 0u);
+  }
   EXPECT_EQ(records[0].key, std::string("k\0ey", 4));
-  EXPECT_EQ(records[0].row_version, 7u);
-  ASSERT_EQ(records[0].cols.size(), 3u);
-  EXPECT_EQ(records[0].cols[1], std::string("\0\1\2", 3));
-  EXPECT_EQ(records[0].cols[2], "");
+  EXPECT_EQ(records[0].version, 7u);
+  EXPECT_EQ(row_cols(records[0]),
+            (std::vector<std::string>{"colA", std::string("\0\1\2", 3), ""}));
   EXPECT_EQ(records[1].key, "");
-  EXPECT_TRUE(records[1].cols.empty());
+  EXPECT_TRUE(records[1].columns.empty());
   EXPECT_EQ(records[2].key, std::string(300, 'L'));
-  EXPECT_EQ(records[2].cols[0], std::string(5000, 'v'));
+  EXPECT_EQ(row_cols(records[2]), std::vector<std::string>{std::string(5000, 'v')});
 }
 
 TEST(CheckpointFormat, CompressibleColumnsShrinkPartFile) {
@@ -146,11 +162,11 @@ TEST(CheckpointFormat, CompressibleColumnsShrinkPartFile) {
   }
   // The compressible row dominates raw size; the file must be far smaller.
   EXPECT_LT(fs::file_size(path), big.size() / 2 + incompressible.size() + 256);
-  auto records = read_checkpoint_part(path);
+  auto records = read_log_file(path);
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].cols[0], big);
-  EXPECT_EQ(records[1].cols[0], incompressible);
-  EXPECT_EQ(records[2].cols[0], "tiny");
+  EXPECT_EQ(row_cols(records[0]), std::vector<std::string>{big});
+  EXPECT_EQ(row_cols(records[1]), std::vector<std::string>{incompressible});
+  EXPECT_EQ(row_cols(records[2]), std::vector<std::string>{"tiny"});
 }
 
 TEST(CheckpointFormat, UnknownPartVersionThrows) {
@@ -165,15 +181,23 @@ TEST(CheckpointFormat, UnknownPartVersionThrows) {
   f.seekp(4);
   f.put('\x09');  // future format version
   f.close();
-  EXPECT_THROW(read_checkpoint_part(path), std::runtime_error);
+  EXPECT_THROW(read_log_file(path), std::runtime_error);
+  // Recovery reads parts on worker threads; the error must reach the
+  // caller rather than end the process.
+  CheckpointManifest m;
+  m.start_ts_us = 1;
+  m.parts = 1;
+  ASSERT_TRUE(write_manifest(dir.str(), m));
+  Store restored;
+  EXPECT_THROW(restored.recover(dir.str(), "", 1), std::runtime_error);
   // A torn header (file shorter than 5 bytes) reads as empty, not a throw.
   std::string torn = checkpoint_part_path(dir.str(), 1, 1);
-  std::ofstream(torn, std::ios::binary) << "MTCK";
-  EXPECT_TRUE(read_checkpoint_part(torn).empty());
+  std::ofstream(torn, std::ios::binary) << "MTLG";
+  EXPECT_TRUE(read_log_file(torn).empty());
   // So does a part with no header at all.
   std::string headerless = checkpoint_part_path(dir.str(), 1, 2);
   std::ofstream(headerless, std::ios::binary) << std::string(64, '\0');
-  EXPECT_TRUE(read_checkpoint_part(headerless).empty());
+  EXPECT_TRUE(read_log_file(headerless).empty());
 }
 
 TEST(CheckpointFormat, CorruptedRecordStopsCleanly) {
@@ -192,7 +216,7 @@ TEST(CheckpointFormat, CorruptedRecordStopsCleanly) {
     f.seekp(static_cast<std::streamoff>(size) - 8);
     f.put('!');
   }
-  auto records = read_checkpoint_part(path);
+  auto records = read_log_file(path);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].key, "first");
 }
@@ -216,6 +240,31 @@ TEST(CheckpointFormat, ManifestRoundTripAndRejection) {
     bad << "not-a-masstree-checkpoint\n";
   }
   EXPECT_FALSE(read_manifest(dir.str()).valid);
+  EXPECT_FALSE(read_manifest(dir.str()).unsupported);
+  Store empty;
+  EXPECT_FALSE(empty.recover(dir.str(), "", 1).used_checkpoint);
+
+  // A MANIFEST of another format version names parts this build cannot
+  // read (a v1 part has no log header, so it would decode as empty):
+  // recovery throws instead of restoring nothing.
+  std::string v1_part = checkpoint_part_path(dir.str(), 5, 0);
+  {
+    std::ofstream bad(checkpoint_manifest_path(dir.str()), std::ios::trunc);
+    bad << "masstree-checkpoint v1\nstart_ts_us 5\nversion_floor 1\nparts 1\n";
+    std::ofstream(v1_part, std::ios::binary) << "MTCK\x02";
+  }
+  EXPECT_FALSE(read_manifest(dir.str()).valid);
+  EXPECT_TRUE(read_manifest(dir.str()).unsupported);
+  Store stale;
+  EXPECT_THROW(stale.recover(dir.str(), "", 1), std::runtime_error);
+  // A new checkpoint still commits over it and unlinks the old part.
+  Store store;
+  Store::Session s(store, 0);
+  store.put("k", {{0, "v"}}, s);
+  ASSERT_TRUE(store.checkpoint(dir.str(), 1));
+  EXPECT_FALSE(fs::exists(v1_part));
+  Store restored;
+  EXPECT_EQ(restored.recover(dir.str(), "", 1).checkpoint_records, 1u);
 }
 
 // ---------------- checkpoint -> restore round-trip ----------------
@@ -274,6 +323,47 @@ TEST(CheckpointRestore, LogTailReplaysOnTopOfCheckpoint) {
   Store::RecoveryResult res = restored.recover(ckpt.str(), logs.str(), 2);
   EXPECT_TRUE(res.used_checkpoint);
   EXPECT_GT(res.log_entries_applied, 0u);
+  expect_store_matches(restored, oracle);
+}
+
+// A zero worker or thread count means one: checkpoint(dir, 0) must not
+// commit an unreadable MANIFEST and unlink the committed checkpoint's
+// parts, and recover(..., 0) must not divide by zero.
+TEST(CheckpointRestore, ZeroWorkerCheckpointKeepsEveryKey) {
+  TempDir ckpt("zero-workers");
+  TempDir logs("zero-workers-logs");
+  RowOracle oracle;
+  Store::Options opt;
+  opt.log_dir = logs.str();
+  {
+    Store store(opt);
+    Store::Session s(store, 0);
+    fill_store(store, s, &oracle, 500, /*salt=*/8);
+    ASSERT_TRUE(store.checkpoint(ckpt.str(), 2));
+    ASSERT_TRUE(store.checkpoint(ckpt.str(), 0));
+    store.truncate_logs();
+  }
+  Store restored(opt);
+  Store::RecoveryResult res = restored.recover(ckpt.str(), logs.str(), 2);
+  EXPECT_TRUE(res.used_checkpoint);
+  EXPECT_EQ(res.checkpoint_records, oracle.size());
+  expect_store_matches(restored, oracle);
+}
+
+TEST(CheckpointRestore, ZeroReplayThreadsReplayLogs) {
+  TempDir logs("zero-threads");
+  RowOracle oracle;
+  Store::Options opt;
+  opt.log_dir = logs.str();
+  {
+    Store store(opt);
+    Store::Session s(store, 0);
+    fill_store(store, s, &oracle, 300, /*salt=*/9);
+  }
+  Store restored(opt);
+  Store::RecoveryResult res = restored.recover("", logs.str(), 0);
+  EXPECT_FALSE(res.used_checkpoint);
+  EXPECT_GE(res.log_entries_applied, oracle.size());
   expect_store_matches(restored, oracle);
 }
 
@@ -427,7 +517,7 @@ TEST(CheckpointRestore, PartsSplitEvenlyAcrossWorkers) {
     ASSERT_EQ(m.parts, kWorkers);
     size_t total = 0;
     for (unsigned w = 0; w < kWorkers; ++w) {
-      size_t n = read_checkpoint_part(checkpoint_part_path(ckpt.str(), m.start_ts_us, w)).size();
+      size_t n = read_log_file(checkpoint_part_path(ckpt.str(), m.start_ts_us, w)).size();
       total += n;
       if (balanced) {
         double share = static_cast<double>(n) * kWorkers / static_cast<double>(oracle.size());

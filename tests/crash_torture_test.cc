@@ -131,7 +131,6 @@ RunResult RunWorkload(const std::string& log_dir, const std::string& ckpt_dir,
   Store::Options opt;
   opt.log_dir = log_dir;
   opt.log_partitions = 1;
-  opt.maintenance_thread = false;
   Store store(opt);
   Store::Session s(store, 0);
   auto run_phase = [&](const Phase& ph) {
@@ -395,7 +394,6 @@ TEST(CrashTorture, StickyEioTripsReadOnly) {
   Store::Options opt;
   opt.log_dir = log_dir;
   opt.log_partitions = 1;
-  opt.maintenance_thread = false;
   io::FaultPlan plan;
   plan.fail_at = 1;
   plan.fail_errno = EIO;
@@ -437,7 +435,6 @@ TEST(CrashTorture, EnospcOnLogExtensionTripsReadOnly) {
   Store::Options opt;
   opt.log_dir = log_dir;
   opt.log_partitions = 1;
-  opt.maintenance_thread = false;
   io::FaultPlan plan;
   plan.fail_at = 1;
   plan.fail_errno = ENOSPC;
@@ -464,7 +461,6 @@ TEST(CrashTorture, CheckpointWriteFailureTripsReadOnly) {
   Store::Options opt;
   opt.log_dir = log_dir;
   opt.log_partitions = 1;
-  opt.maintenance_thread = false;
   io::FaultPlan plan;
   plan.fail_at = 1;
   plan.fail_errno = EIO;

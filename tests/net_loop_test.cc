@@ -597,7 +597,6 @@ void ReadOnlyServing(unsigned workers) {
   Store::Options sopt;
   sopt.log_dir = dir;
   sopt.log_partitions = 1;
-  sopt.maintenance_thread = false;
   Store store(sopt);
   {
     Server server(store, Server::Options{0, workers});

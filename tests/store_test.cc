@@ -393,7 +393,7 @@ TEST(Store, CheckpointConcurrentWithWrites) {
   uint64_t total = 0;
   uint64_t start_ts_us = read_manifest(ckpt_dir).start_ts_us;
   for (unsigned p = 0; p < 2; ++p) {
-    total += read_checkpoint_part(checkpoint_part_path(ckpt_dir, start_ts_us, p)).size();
+    total += read_log_file(checkpoint_part_path(ckpt_dir, start_ts_us, p)).size();
   }
   EXPECT_GE(total, 5000u);
 }
