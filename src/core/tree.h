@@ -60,6 +60,13 @@ struct TreeStats {
   uint64_t node_bytes = 0;
   uint64_t suffix_bytes = 0;     // bytes allocated to suffix bags (class sizes)
   uint64_t suffix_used_bytes = 0;
+  // The layer-0 share of border_nodes and keys; the rest sit in deeper
+  // trie layers (deep_border_nodes, deep_keys).
+  uint64_t layer0_border_nodes = 0;
+  uint64_t layer0_keys = 0;
+
+  uint64_t deep_border_nodes() const { return border_nodes - layer0_border_nodes; }
+  uint64_t deep_keys() const { return keys - layer0_keys; }
 
   double avg_border_fill(int width) const {
     return border_nodes == 0
@@ -1473,6 +1480,7 @@ class BasicTree {
     if (n->is_border()) {
       Border* b = n->as_border();
       ++st->border_nodes;
+      st->layer0_border_nodes += layer == 1;
       st->node_bytes += sizeof(Border);
       Permuter perm(b->raw_permutation().load(std::memory_order_relaxed));
       for (int i = 0; i < perm.size(); ++i) {
@@ -1482,6 +1490,7 @@ class BasicTree {
           collect_subtree(true_layer_root(b->layer(s)), 1, layer + 1, st);
         } else {
           ++st->keys;
+          st->layer0_keys += layer == 1;
         }
       }
       StringBag* bag = b->raw_suffixes().load(std::memory_order_relaxed);

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -30,7 +29,9 @@
 #include "core/tree.h"
 #include "log/logger.h"
 #include "log/recovery.h"
+#include "util/file.h"
 #include "util/io.h"
+#include "util/thread.h"
 #include "util/timing.h"
 #include "value/row.h"
 
@@ -102,6 +103,8 @@ class Store {
     std::vector<Tree::PutRequest> mp_reqs_;
     std::vector<uint64_t> mp_vers_;
     std::vector<LogShard::BatchOp> mp_log_;
+    // Recovery's column list for one applied record (apply_entry).
+    std::vector<ColumnUpdate> apply_cols_;
   };
 
   Store() : Store(Options()) {}
@@ -526,8 +529,8 @@ class Store {
 
   // Full §5 recovery into this (empty) store: load the checkpoint if one
   // completed, then replay logs from the checkpoint's start time up to the
-  // cutoff t = min over logs of last timestamp. nthreads == 0 means one
-  // replay thread.
+  // cutoff t = min over logs of last timestamp. The logs are read on up
+  // to nthreads threads and replayed on nthreads; 0 means one.
   RecoveryResult recover(const std::string& checkpoint_dir, const std::string& log_dir,
                          unsigned nthreads) {
     nthreads = std::max(1u, nthreads);
@@ -554,41 +557,26 @@ class Store {
           throw std::runtime_error("checkpoint: MANIFEST names missing part " + path);
         }
       }
+      // Each part streams straight into the tree as it is decoded, one
+      // thread per part. A part this build cannot read (unknown header
+      // version) throws from its worker, and recover rethrows it.
       std::atomic<uint64_t> loaded{0};
-      // A part this build cannot read (unknown header version) throws from
-      // its worker; the first such error is rethrown here after the join.
-      std::mutex fail_mu;
-      std::exception_ptr failed;
-      std::vector<std::thread> workers;
-      for (unsigned w = 0; w < m.parts; ++w) {
-        workers.emplace_back([&, w] {
-          Session s(*this, w);
-          try {
-            std::vector<LogEntry> records =
-                read_log_file(checkpoint_part_path(checkpoint_dir, m.start_ts_us, w));
-            for (const LogEntry& e : records) {
-              apply_entry(e, s);
-            }
-            loaded.fetch_add(records.size(), std::memory_order_relaxed);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(fail_mu);
-            if (!failed) {
-              failed = std::current_exception();
-            }
-          }
+      parallel_for(m.parts, m.parts, [&](size_t w) {
+        Session s(*this, static_cast<unsigned>(w));
+        std::string part = read_whole_file(
+            checkpoint_part_path(checkpoint_dir, m.start_ts_us, static_cast<unsigned>(w)));
+        uint64_t n = 0;
+        logwire::for_each_record(part, [&](const LogEntry& e) {
+          apply_entry(e, s);
+          ++n;
         });
-      }
-      for (auto& t : workers) {
-        t.join();
-      }
-      if (failed) {
-        std::rethrow_exception(failed);
-      }
+        loaded.fetch_add(n, std::memory_order_relaxed);
+      });
       res.checkpoint_records = loaded.load();
     }
 
     std::vector<std::string> paths = list_log_files(log_dir);
-    RecoverySet rs = load_logs(paths);
+    RecoverySet rs = load_logs(paths, nthreads);
     res.cutoff_us = rs.cutoff_us;
     // The live logs' information is consumed right here: trim each to its
     // crash-consistent prefix and mark it complete, so it neither pins
@@ -605,19 +593,13 @@ class Store {
       parts[std::hash<std::string>{}(e.key) % nthreads].push_back(&e);
     }
     std::atomic<uint64_t> applied{0};
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < nthreads; ++w) {
-      workers.emplace_back([&, w] {
-        Session s(*this, w);
-        for (const LogEntry* e : parts[w]) {
-          apply_entry(*e, s);
-          applied.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : workers) {
-      t.join();
-    }
+    parallel_for(nthreads, nthreads, [&](size_t w) {
+      Session s(*this, static_cast<unsigned>(w));
+      for (const LogEntry* e : parts[w]) {
+        apply_entry(*e, s);
+      }
+      applied.fetch_add(parts[w].size(), std::memory_order_relaxed);
+    });
     res.log_entries_applied = applied.load();
     bump_version_floor(std::max(m.version_floor, max_version_seen_.load()));
     return res;
@@ -856,8 +838,8 @@ class Store {
   // last-write-wins dedupe would drop earlier partial-column updates.
   void apply_entry(const LogEntry& e, Session& s) {
     if (e.type == LogType::kPut) {
-      std::vector<ColumnUpdate> updates;
-      updates.reserve(e.columns.size());
+      std::vector<ColumnUpdate>& updates = s.apply_cols_;
+      updates.clear();
       for (const auto& [c, d] : e.columns) {
         updates.push_back(ColumnUpdate{c, d});
       }

@@ -7,7 +7,7 @@
 // Log files and checkpoint parts are both streams of this format: a
 // checkpoint part is a header followed by one put record per row (see
 // checkpoint/checkpoint.h), so one encoder, one compress-or-raw rule
-// (plan_column) and one decoder (decode_all) cover everything on disk.
+// (plan_column) and one decoder (for_each_record) cover everything on disk.
 //
 // == Format ==
 //
@@ -68,6 +68,11 @@
 // caller-owned bytes, compressed or raw), and `std::string`-appending
 // wrappers for recovery tooling and tests (these prepend a header when
 // the string is empty and always write absolute timestamps).
+//
+// There is one decoder, `for_each_record`: it decodes each record into a
+// single reused LogEntry and hands it to a callback, so recovery streams a
+// checkpoint part into the tree without a heap allocation per record.
+// `decode_all` is the owning-copy wrapper for callers that keep entries.
 
 #ifndef MASSTREE_LOG_LOGRECORD_H_
 #define MASSTREE_LOG_LOGRECORD_H_
@@ -428,8 +433,8 @@ inline bool tag_ok(uint8_t tag) {
 
 // Length of the valid record prefix of buf: frames and checksums are
 // verified, but no entries are materialized — O(1) memory, used by startup
-// tail repair where decode_all's owning copies of every key and value would
-// be a pointless allocation spike.  Throws on an unknown header version.
+// tail repair, which needs no keys or values (and no decompression).
+// Throws on an unknown header version.
 inline size_t valid_prefix_bytes(std::string_view buf) {
   size_t pos = 0;
   if (detail::probe_header(buf, &pos) != 1) return 0;  // headerless: nothing
@@ -449,9 +454,11 @@ inline size_t valid_prefix_bytes(std::string_view buf) {
 
 namespace detail {
 
-// Decode the record whose frame was already validated.  Returns false
-// on a malformed payload (decoder stops at the record start).  Updates
-// the delta base via *prev_ts / *have_prev.
+// Decode the record whose frame was already validated into *e, reusing
+// its key and column strings (a reused entry keeps their capacity, so a
+// stream of similar records decodes without a heap allocation each).
+// Returns false on a malformed payload (decoder stops at the record
+// start).  Updates the delta base via *prev_ts / *have_prev.
 inline bool decode_record(std::string_view buf, const Frame& f,
                              LogEntry* e, uint64_t* prev_ts,
                              bool* have_prev) {
@@ -478,6 +485,8 @@ inline bool decode_record(std::string_view buf, const Frame& f,
   if (type == static_cast<uint8_t>(LogType::kMarker) ||
       type == static_cast<uint8_t>(LogType::kClose)) {
     if (p != end) return false;
+    e->key.clear();
+    e->columns.clear();
     e->type = static_cast<LogType>(type);
     return true;
   }
@@ -489,6 +498,7 @@ inline bool decode_record(std::string_view buf, const Frame& f,
   if (type == static_cast<uint8_t>(LogType::kRemove)) {
     if (p != end) return false;
     e->type = LogType::kRemove;
+    e->columns.clear();
   } else {
     e->type = LogType::kPut;
     uint64_t ncols = 1;
@@ -496,6 +506,7 @@ inline bool decode_record(std::string_view buf, const Frame& f,
       p = vint::get(p, end, &ncols);
       if (!p || ncols > 0xffff) return false;
     }
+    size_t n = 0;  // columns decoded so far; later slots are stale
     for (uint64_t i = 0; i < ncols; ++i) {
       uint64_t col, h;
       p = vint::get(p, end, &col);
@@ -504,26 +515,28 @@ inline bool decode_record(std::string_view buf, const Frame& f,
       if (!p) return false;
       uint64_t raw_len = h >> 1;
       if (raw_len > kMaxColumnRaw) return false;
+      uint64_t stored_len = raw_len;
       if (h & 1) {
-        uint64_t stored_len;
         p = vint::get(p, end, &stored_len);
-        if (!p || stored_len > static_cast<size_t>(end - p)) return false;
-        std::string out;
+        if (!p) return false;
+      }
+      if (stored_len > static_cast<size_t>(end - p)) return false;
+      if (n == e->columns.size()) e->columns.emplace_back();
+      auto& [c, out] = e->columns[n++];
+      c = static_cast<uint16_t>(col);
+      if (h & 1) {
         out.resize(static_cast<size_t>(raw_len));
         if (!lz::decompress(p, static_cast<size_t>(stored_len), out.data(),
                             out.size())) {
           return false;
         }
-        p += stored_len;
-        e->columns.emplace_back(static_cast<uint16_t>(col), std::move(out));
       } else {
-        if (raw_len > static_cast<size_t>(end - p)) return false;
-        e->columns.emplace_back(static_cast<uint16_t>(col),
-                                std::string(p, static_cast<size_t>(raw_len)));
-        p += raw_len;
+        out.assign(p, static_cast<size_t>(raw_len));
       }
+      p += stored_len;
     }
     if (p != end) return false;
+    e->columns.resize(n);
   }
   // Only data records move the delta base; the caller skips this for
   // markers via the early return above.
@@ -534,14 +547,18 @@ inline bool decode_record(std::string_view buf, const Frame& f,
 
 }  // namespace detail
 
-// Decode every complete, checksum-valid record from buf. Stops (without
-// error) at a torn or corrupt tail. Returns the number of bytes consumed.
+// The decoder: calls fn(const LogEntry&) for every complete,
+// checksum-valid record of buf, in order.  One entry is reused for the
+// whole stream, so fn must copy what it keeps.  Stops (without error) at
+// a torn or corrupt tail and returns the number of bytes consumed.
 // Throws on an unknown format-header version (fail-stop, never truncate).
-inline size_t decode_all(std::string_view buf, std::vector<LogEntry>* out) {
+template <typename F>
+size_t for_each_record(std::string_view buf, F&& fn) {
   size_t pos = 0;
   if (detail::probe_header(buf, &pos) != 1) return 0;  // headerless: nothing
   uint64_t prev_ts = 0;
   bool have_prev = false;
+  LogEntry e;
   for (;;) {
     if (pos == buf.size()) return pos;
     int h = detail::probe_header(buf, &pos);
@@ -552,14 +569,18 @@ inline size_t decode_all(std::string_view buf, std::vector<LogEntry>* out) {
     }
     detail::Frame f;
     if (!detail::check_frame(buf, pos, &f)) return pos;
-    LogEntry e;
     if (!detail::decode_record(buf, f, &e, &prev_ts, &have_prev)) {
       return pos;
     }
     pos = f.end;
     e.wire_end = pos;
-    out->push_back(std::move(e));
+    fn(static_cast<const LogEntry&>(e));
   }
+}
+
+// for_each_record, keeping an owning copy of every record.
+inline size_t decode_all(std::string_view buf, std::vector<LogEntry>* out) {
+  return for_each_record(buf, [out](const LogEntry& e) { out->push_back(e); });
 }
 
 }  // namespace logwire

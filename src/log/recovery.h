@@ -31,6 +31,7 @@
 #include "log/logrecord.h"
 #include "util/file.h"
 #include "util/io.h"
+#include "util/thread.h"
 #include "util/timing.h"
 
 namespace masstree {
@@ -73,30 +74,35 @@ struct RecoverySet {
   uint64_t cutoff_us = std::numeric_limits<uint64_t>::max();
 };
 
-// Load every per-worker log and compute the §5 cutoff: the minimum over
-// non-empty LIVE logs of their last (max) timestamp. Complete logs and logs
-// that recorded nothing do not constrain the cutoff; if every log is
-// complete the cutoff stays at +inf (nothing was lost anywhere).
-inline RecoverySet load_logs(const std::vector<std::string>& paths) {
+// Load every per-worker log, reading and decoding the files on up to
+// `nthreads` threads, and compute the §5 cutoff: the minimum over non-empty
+// LIVE logs of their last (max) timestamp. Complete logs and logs that
+// recorded nothing do not constrain the cutoff; if every log is complete
+// the cutoff stays at +inf (nothing was lost anywhere). A file this build
+// cannot read (unknown header version) throws, from whichever thread read it.
+inline RecoverySet load_logs(const std::vector<std::string>& paths, unsigned nthreads = 1) {
   RecoverySet rs;
+  rs.logs.resize(paths.size());
+  parallel_for(paths.size(), nthreads, [&](size_t i) {
+    LogFileData& lf = rs.logs[i];
+    lf.entries = read_log_file(paths[i]);
+    lf.complete = !lf.entries.empty() && lf.entries.back().type == LogType::kClose;
+  });
   bool any_live = false;
   bool any_records = false;
-  for (const auto& p : paths) {
-    LogFileData lf;
-    lf.entries = read_log_file(p);
-    lf.complete = !lf.entries.empty() && lf.entries.back().type == LogType::kClose;
-    if (!lf.entries.empty()) {
-      any_records = true;
-      if (!lf.complete) {
-        uint64_t last = 0;
-        for (const auto& e : lf.entries) {
-          last = std::max(last, e.timestamp_us);
-        }
-        rs.cutoff_us = std::min(rs.cutoff_us, last);
-        any_live = true;
-      }
+  for (const LogFileData& lf : rs.logs) {
+    if (lf.entries.empty()) {
+      continue;
     }
-    rs.logs.push_back(std::move(lf));
+    any_records = true;
+    if (!lf.complete) {
+      uint64_t last = 0;
+      for (const auto& e : lf.entries) {
+        last = std::max(last, e.timestamp_us);
+      }
+      rs.cutoff_us = std::min(rs.cutoff_us, last);
+      any_live = true;
+    }
   }
   if (!any_live) {
     // All-complete: keep everything. No logs at all: nothing to keep.

@@ -1,5 +1,6 @@
-// Thread-affinity helpers. The paper pins one server thread per core
-// (§5, §6.1); on this container we pin modulo the available CPU count.
+// Thread helpers. The paper pins one server thread per core (§5, §6.1);
+// pin_to_cpu pins modulo the available CPU count. parallel_for runs
+// recovery's per-file and per-partition work on several threads.
 
 #ifndef MASSTREE_UTIL_THREAD_H_
 #define MASSTREE_UTIL_THREAD_H_
@@ -7,7 +8,13 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <exception>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace masstree {
 
@@ -26,6 +33,41 @@ inline bool pin_to_cpu(unsigned cpu_index) {
 inline unsigned hardware_threads() {
   unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
+}
+
+// Runs task(i) for every i in [0, ntasks) on min(ntasks, nthreads)
+// threads (at least one), each taking the next unstarted index. A thread
+// whose task throws starts no further tasks; the first exception is
+// rethrown here after every thread has joined, so a worker's error reaches
+// the caller instead of ending the process through std::terminate.
+template <typename F>
+void parallel_for(size_t ntasks, unsigned nthreads, F&& task) {
+  std::atomic<size_t> next{0};
+  std::mutex fail_mu;
+  std::exception_ptr failed;
+  size_t n = std::min<size_t>(std::max(1u, nthreads), ntasks);
+  std::vector<std::thread> workers;
+  workers.reserve(n);
+  for (size_t t = 0; t < n; ++t) {
+    workers.emplace_back([&] {
+      try {
+        for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < ntasks;) {
+          task(i);
+        }
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(fail_mu);
+        if (!failed) {
+          failed = std::current_exception();
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  if (failed) {
+    std::rethrow_exception(failed);
+  }
 }
 
 }  // namespace masstree

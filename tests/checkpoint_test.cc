@@ -82,7 +82,10 @@ void fill_store(Store& store, Store::Session& s, RowOracle* oracle, int nkeys,
       updates.push_back(ColumnUpdate{c, cols[c]});
     }
     store.put(key, updates, s);
-    (*oracle)[key] = std::move(cols);
+    // A put over a wider row keeps the columns it does not name.
+    std::vector<std::string>& row = (*oracle)[key];
+    row.resize(std::max(row.size(), cols.size()));
+    std::move(cols.begin(), cols.end(), row.begin());
   }
 }
 
@@ -365,6 +368,139 @@ TEST(CheckpointRestore, ZeroReplayThreadsReplayLogs) {
   EXPECT_FALSE(res.used_checkpoint);
   EXPECT_GE(res.log_entries_applied, oracle.size());
   expect_store_matches(restored, oracle);
+}
+
+// Four sessions write four logs around a 4-part checkpoint; one replay
+// thread must restore all of it, the logs read one at a time.
+TEST(CheckpointRestore, OneThreadRestoresFourPartsAndFourLogs) {
+  TempDir ckpt("one-thread");
+  TempDir logs("one-thread-logs");
+  RowOracle oracle;
+  Store::Options opt;
+  opt.log_dir = logs.str();
+  {
+    Store store(opt);
+    std::vector<std::unique_ptr<Store::Session>> sessions;
+    for (unsigned w = 0; w < 4; ++w) {
+      sessions.push_back(std::make_unique<Store::Session>(store, w));
+      fill_store(store, *sessions[w], &oracle, 400, /*salt=*/20 + w);
+    }
+    ASSERT_TRUE(store.checkpoint(ckpt.str(), 4));
+    for (unsigned w = 0; w < 4; ++w) {
+      fill_store(store, *sessions[w], &oracle, 150 + 50 * w, /*salt=*/30 + w);
+    }
+  }
+  EXPECT_EQ(read_manifest(ckpt.str()).parts, 4u);
+  EXPECT_EQ(list_log_files(logs.str()).size(), 4u);
+  Store restored;
+  Store::RecoveryResult res = restored.recover(ckpt.str(), logs.str(), 1);
+  EXPECT_TRUE(res.used_checkpoint);
+  EXPECT_GT(res.log_entries_applied, 0u);
+  expect_store_matches(restored, oracle);
+}
+
+// A log this build cannot read (unknown header version) throws from the
+// thread that read it; recover rethrows it instead of ending the process.
+TEST(CheckpointRestore, UnknownLogVersionThrowsFromRecover) {
+  TempDir logs("log-version");
+  RowOracle oracle;
+  Store::Options opt;
+  opt.log_dir = logs.str();
+  {
+    Store store(opt);
+    std::vector<std::unique_ptr<Store::Session>> sessions;
+    for (unsigned w = 0; w < 4; ++w) {
+      sessions.push_back(std::make_unique<Store::Session>(store, w));
+      fill_store(store, *sessions[w], &oracle, 100, /*salt=*/40 + w);
+    }
+  }
+  std::vector<std::string> paths = list_log_files(logs.str());
+  ASSERT_EQ(paths.size(), 4u);
+  {
+    std::fstream f(paths[2], std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    f.put('\x03');  // the version byte of "MTLG" 2
+  }
+  for (unsigned nthreads : {1u, 4u}) {
+    Store restored;
+    EXPECT_THROW(restored.recover("", logs.str(), nthreads), std::runtime_error)
+        << nthreads << " threads";
+  }
+}
+
+// Recovery decodes every record of a stream into one reused entry. A
+// stream that shrinks each time (3 columns then 1, a long compressed
+// column then a short raw one, a remove, an empty key) must restore each
+// row byte for byte, as a checkpoint part and as a log: no column, key
+// byte or value byte may carry over from the record before.
+TEST(CheckpointRestore, ReusedDecodeEntryLeaksNothingBetweenRecords) {
+  std::string zipped;
+  while (zipped.size() < 2000) {
+    zipped += "{\"id\":" + std::to_string(zipped.size()) + ",\"name\":\"alpha\"},";
+  }
+  struct Op {
+    std::string key;
+    std::vector<std::string> cols;  // empty: a remove
+  };
+  const std::vector<Op> ops = {
+      {"three", {"column zero", "column one, the longest of the three", "two"}},
+      {"one", {"1"}},
+      {"zipped", {zipped}},
+      {"raw", {"short raw"}},
+      {"gone", {"doomed row", "and its second column"}},
+      {"gone", {}},
+      {"", {"the empty key's row"}},
+      {"after", {"a", "b"}},
+  };
+  std::string stream;
+  logwire::encode_header(&stream);
+  uint64_t version = 0;
+  for (const Op& op : ops) {
+    ++version;
+    if (op.cols.empty()) {
+      logwire::encode_remove(&stream, op.key, version, 0);
+      continue;
+    }
+    std::vector<logwire::ColPlan> plans;
+    std::vector<std::string> scratch(op.cols.size());
+    for (size_t c = 0; c < op.cols.size(); ++c) {
+      scratch[c].resize(op.cols[c].size());
+      plans.push_back(logwire::plan_column(static_cast<uint32_t>(c), op.cols[c],
+                                           /*threshold=*/64, scratch[c].data(),
+                                           scratch[c].size()));
+    }
+    size_t old = stream.size();
+    stream.resize(old + logwire::put_record_size(op.key, plans.data(), plans.size(),
+                                                 version, 0));
+    logwire::encode_put_to(stream.data() + old, op.key, plans.data(), plans.size(),
+                           version, 0, /*delta=*/false);
+  }
+  ASSERT_LT(stream.size(), 1500u) << "the 2000-byte column must be compressed";
+  RowOracle oracle;
+  for (const Op& op : ops) {
+    if (op.cols.empty()) {
+      oracle.erase(op.key);
+    } else {
+      oracle[op.key] = op.cols;
+    }
+  }
+
+  TempDir ckpt("reuse-ckpt");
+  CheckpointManifest m;
+  m.start_ts_us = 1000;
+  m.parts = 1;
+  std::ofstream(checkpoint_part_path(ckpt.str(), m.start_ts_us, 0), std::ios::binary)
+      << stream;
+  ASSERT_TRUE(write_manifest(ckpt.str(), m));
+  Store from_part;
+  EXPECT_EQ(from_part.recover(ckpt.str(), "", 1).checkpoint_records, ops.size());
+  expect_store_matches(from_part, oracle);
+
+  TempDir logs("reuse-logs");
+  std::ofstream(Store::log_path(logs.str(), 0), std::ios::binary) << stream;
+  Store from_log;
+  EXPECT_EQ(from_log.recover("", logs.str(), 1).log_entries_applied, ops.size());
+  expect_store_matches(from_log, oracle);
 }
 
 // ---------------- damaged checkpoints ----------------

@@ -5,7 +5,10 @@
 // from the earlier compressor, a ratio floor on JSON-ish log values, and
 // fuzz-style safety of the bounded decoder against truncated and
 // bit-flipped input (it must fail cleanly, never read or write out of
-// bounds — the ASan/UBSan lanes enforce the "never").
+// bounds — the ASan/UBSan lanes enforce the "never").  The decoder's wide
+// copies are checked against a bytewise reference decoder: on hand-built
+// streams with every short match offset and runs that end near either
+// buffer's end, and on thousands of damaged streams.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +36,71 @@ struct Rng {
   }
 };
 
+// The decoder before wide copies, kept as the oracle: literals by memcpy,
+// matches a byte at a time, the same bounds checks.
+bool ReferenceDecompress(const void* src_v, size_t n, void* dst_v,
+                         size_t raw_n) {
+  const uint8_t* s = static_cast<const uint8_t*>(src_v);
+  const uint8_t* send = s + n;
+  uint8_t* dst = static_cast<uint8_t*>(dst_v);
+  uint8_t* d = dst;
+  uint8_t* dend = dst + raw_n;
+  if (n == 0) return raw_n == 0;
+  for (;;) {
+    if (s >= send) return false;
+    uint8_t token = *s++;
+    size_t lit = token >> 4;
+    if (lit == 15) {
+      uint8_t b;
+      do {
+        if (s >= send) return false;
+        b = *s++;
+        lit += b;
+      } while (b == 255);
+    }
+    if (static_cast<size_t>(send - s) < lit) return false;
+    if (static_cast<size_t>(dend - d) < lit) return false;
+    std::memcpy(d, s, lit);
+    s += lit;
+    d += lit;
+    if (s == send) break;
+    if (send - s < 2) return false;
+    size_t offset = static_cast<size_t>(s[0]) | (static_cast<size_t>(s[1]) << 8);
+    s += 2;
+    if (offset == 0 || offset > static_cast<size_t>(d - dst)) return false;
+    size_t mlen = token & 0x0f;
+    if (mlen == 15) {
+      uint8_t b;
+      do {
+        if (s >= send) return false;
+        b = *s++;
+        mlen += b;
+      } while (b == 255);
+    }
+    mlen += lz::kMinMatch;
+    if (static_cast<size_t>(dend - d) < mlen) return false;
+    for (size_t j = 0; j < mlen; ++j) d[j] = d[j - offset];
+    d += mlen;
+  }
+  return d == dend;
+}
+
+// Decodes `stream` into raw_n bytes with both decoders and expects the
+// same verdict and, on success, the same bytes.  Returns the verdict.
+bool DecodersAgree(const std::string& stream, size_t raw_n,
+                   const std::string& what) {
+  std::string wide(raw_n, '\0');
+  std::string exact(raw_n, '\0');
+  bool ok = lz::decompress(stream.data(), stream.size(), wide.data(), raw_n);
+  bool ref = ReferenceDecompress(stream.data(), stream.size(), exact.data(),
+                                 raw_n);
+  EXPECT_EQ(ok, ref) << what;
+  if (ok && ref) {
+    EXPECT_EQ(wide, exact) << what;
+  }
+  return ok && ref;
+}
+
 std::string RoundTrip(const std::string& raw, bool* compressed_out = nullptr) {
   std::string comp(lz::compress_bound(raw.size()), '\0');
   size_t csize =
@@ -45,6 +113,8 @@ std::string RoundTrip(const std::string& raw, bool* compressed_out = nullptr) {
   }
   std::string back(raw.size(), '\0');
   EXPECT_TRUE(lz::decompress(comp.data(), csize, back.data(), back.size()));
+  comp.resize(csize);
+  EXPECT_TRUE(DecodersAgree(comp, raw.size(), "round trip"));
   return back;
 }
 
@@ -106,11 +176,11 @@ TEST(Lz, MixedContentRoundTrip) {
   EXPECT_TRUE(compressed);
 }
 
-// Every size 0..600 in three shapes: catches off-by-ones around the
-// min-match and tail-literal cutoffs.
+// Every size 0..2048 in three shapes: catches off-by-ones around the
+// min-match and tail-literal cutoffs and the wide copies' chunk rounding.
 TEST(Lz, EverySmallSizeSweep) {
   Rng rng;
-  for (size_t n = 0; n <= 600; ++n) {
+  for (size_t n = 0; n <= 2048; ++n) {
     std::string rep(n, 'r');
     EXPECT_EQ(RoundTrip(rep), rep) << "repeat n=" << n;
     std::string cyc;
@@ -239,6 +309,9 @@ TEST(Lz, DecodesStreamFromEarlierCompressor) {
   ASSERT_TRUE(lz::decompress(kGoldenStream, sizeof(kGoldenStream), back.data(),
                              back.size()));
   EXPECT_EQ(back, raw);
+  EXPECT_TRUE(DecodersAgree(
+      std::string(reinterpret_cast<const char*>(kGoldenStream), sizeof(kGoldenStream)),
+      raw.size(), "golden"));
   bool compressed = false;
   EXPECT_EQ(RoundTrip(raw, &compressed), raw);
   EXPECT_TRUE(compressed);
@@ -361,6 +434,154 @@ TEST(Lz, DecoderRejectsBogusOffsets) {
   zero.push_back('\x00');
   EXPECT_FALSE(
       lz::decompress(zero.data(), zero.size(), back.data(), back.size()));
+}
+
+// ---- hand-built streams for the wide copies ----
+
+// Appends one sequence: `lits`, then (unless mlen == 0, the final
+// literal-only sequence) a match of mlen >= 4 bytes at `offset`.
+void AppendSequence(std::string* out, const std::string& lits, size_t offset,
+                    size_t mlen) {
+  auto nibble = [](size_t len) { return len < 15 ? len : size_t{15}; };
+  auto ext = [out](size_t len) {
+    if (len < 15) return;
+    for (len -= 15; len >= 255; len -= 255) out->push_back('\xff');
+    out->push_back(static_cast<char>(len));
+  };
+  size_t m = mlen == 0 ? 0 : mlen - lz::kMinMatch;
+  out->push_back(static_cast<char>(nibble(lits.size()) << 4 | nibble(m)));
+  ext(lits.size());
+  *out += lits;
+  if (mlen == 0) return;
+  out->push_back(static_cast<char>(offset & 0xff));
+  out->push_back(static_cast<char>(offset >> 8));
+  ext(m);
+}
+
+// What a match appends to the output: a byte at a time, the definition.
+void ExpandMatch(std::string* raw, size_t offset, size_t mlen) {
+  for (size_t j = 0; j < mlen; ++j) raw->push_back((*raw)[raw->size() - offset]);
+}
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string s(n, '\0');
+  for (auto& c : s) c = static_cast<char>(rng.next());
+  return s;
+}
+
+// Offsets 1-7 must take the bytewise copy (an 8-byte chunk would read
+// bytes it has not written yet), even with room for wide copies after
+// the match; offsets 8-20 take the chunked copy at the same lengths.
+TEST(Lz, ShortMatchOffsetsDecodeBytewise) {
+  Rng rng;
+  for (size_t offset = 1; offset <= 20; ++offset) {
+    for (size_t mlen = 4; mlen <= 80; ++mlen) {
+      for (size_t tail : {0, 5, 16, 40}) {
+        std::string lits = RandomBytes(rng, offset + rng.next() % 3);
+        std::string stream;
+        AppendSequence(&stream, lits, offset, mlen);
+        std::string raw = lits;
+        ExpandMatch(&raw, offset, mlen);
+        std::string end = RandomBytes(rng, tail);
+        AppendSequence(&stream, end, 0, 0);
+        raw += end;
+        std::string back(raw.size(), '\0');
+        ASSERT_TRUE(lz::decompress(stream.data(), stream.size(), back.data(),
+                                   back.size()))
+            << "offset=" << offset << " mlen=" << mlen << " tail=" << tail;
+        ASSERT_EQ(back, raw) << "offset=" << offset << " mlen=" << mlen
+                             << " tail=" << tail;
+      }
+    }
+  }
+}
+
+// A literal run and a match that end 0..20 bytes before the end of dst,
+// with the literal run 3..23 bytes before the end of src: within 16 bytes
+// the decoder must fall back to the exact copy, not write or read past
+// either buffer (the ASan lane enforces that).
+TEST(Lz, RunsEndingNearBufferEnds) {
+  Rng rng;
+  std::string head = RandomBytes(rng, 40);
+  for (size_t lit = 0; lit <= 40; ++lit) {
+    for (size_t offset : {8, 9, 15, 16, 17, 31, 44}) {
+      for (size_t mlen = 4; mlen <= 24; ++mlen) {
+        for (size_t tail = 0; tail <= 20; ++tail) {
+          std::string stream;
+          AppendSequence(&stream, head, 40, 4);
+          std::string raw = head;
+          ExpandMatch(&raw, 40, 4);
+          std::string lits = RandomBytes(rng, lit);
+          AppendSequence(&stream, lits, offset, mlen);
+          raw += lits;
+          ExpandMatch(&raw, offset, mlen);
+          std::string end = RandomBytes(rng, tail);
+          AppendSequence(&stream, end, 0, 0);
+          raw += end;
+          std::string back(raw.size(), '\0');
+          ASSERT_TRUE(lz::decompress(stream.data(), stream.size(), back.data(),
+                                     back.size()))
+              << "lit=" << lit << " offset=" << offset << " mlen=" << mlen
+              << " tail=" << tail;
+          ASSERT_EQ(back, raw) << "lit=" << lit << " offset=" << offset
+                               << " mlen=" << mlen << " tail=" << tail;
+        }
+      }
+    }
+  }
+}
+
+// A random valid stream and the bytes it decodes to.  Run lengths
+// cluster below 24 (around the 8- and 16-byte chunks) with some long
+// ones past the 255-extension; offsets are short or anywhere behind.
+std::string RandomStream(Rng& rng, std::string* raw) {
+  std::string stream;
+  raw->clear();
+  int nseq = static_cast<int>(rng.next() % 8);
+  for (int i = 0; i < nseq; ++i) {
+    size_t lit = rng.next() % 4 == 0 ? rng.next() % 300 : rng.next() % 24;
+    if (raw->empty() && lit == 0) lit = 1;
+    std::string lits = RandomBytes(rng, lit);
+    *raw += lits;
+    size_t reach = std::min<size_t>(raw->size(), rng.next() % 2 ? 24 : 0xffff);
+    size_t offset = 1 + rng.next() % reach;
+    size_t mlen = lz::kMinMatch +
+                  (rng.next() % 4 == 0 ? rng.next() % 300 : rng.next() % 24);
+    AppendSequence(&stream, lits, offset, mlen);
+    ExpandMatch(raw, offset, mlen);
+  }
+  std::string tail = RandomBytes(rng, rng.next() % 24);
+  AppendSequence(&stream, tail, 0, 0);
+  *raw += tail;
+  return stream;
+}
+
+// Thousands of truncated and bit-flipped valid streams: the wide decoder
+// must give the reference's verdict, and the reference's bytes whenever
+// both succeed (a flipped literal byte still decodes).
+TEST(Lz, DamagedStreamsDecodeLikeTheReference) {
+  Rng rng;
+  size_t damaged = 0, decoded = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string raw;
+    std::string stream = RandomStream(rng, &raw);
+    std::string back(raw.size(), '\0');
+    ASSERT_TRUE(lz::decompress(stream.data(), stream.size(), back.data(),
+                               back.size()));
+    ASSERT_EQ(back, raw);
+    for (int t = 0; t < 3; ++t) {
+      std::string cut = stream.substr(0, rng.next() % stream.size());
+      decoded += DecodersAgree(cut, raw.size(), "truncated");
+      std::string flip = stream;
+      flip[rng.next() % flip.size()] ^= static_cast<char>(1u << (rng.next() % 8));
+      decoded += DecodersAgree(flip, raw.size(), "bit flip");
+      size_t other = raw.size() + rng.next() % 33 - 16;
+      decoded += DecodersAgree(flip, other > (1u << 20) ? 0 : other, "bit flip, raw_n");
+      damaged += 3;
+    }
+  }
+  EXPECT_EQ(damaged, 27000u);
+  EXPECT_GT(decoded, 0u);  // the success path was compared too
 }
 
 }  // namespace

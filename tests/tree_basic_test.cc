@@ -87,6 +87,21 @@ TEST_F(TreeTest, PaperLayerExample) {
   EXPECT_EQ(Get("01234567AB"), 1u);
 }
 
+TEST_F(TreeTest, StatsSplitBorderNodesAndKeysByLayer) {
+  // Two keys that share their first 8-byte slice move into one layer-1
+  // border node; a short key stays in layer 0 beside the layer link.
+  EXPECT_TRUE(Put("01234567AB", 1));
+  EXPECT_TRUE(Put("01234567XY", 2));
+  EXPECT_TRUE(Put("short", 3));
+  TreeStats st = tree_.collect_stats();
+  EXPECT_EQ(st.border_nodes, 2u);
+  EXPECT_EQ(st.keys, 3u);
+  EXPECT_EQ(st.layer0_border_nodes, 1u);
+  EXPECT_EQ(st.layer0_keys, 1u);
+  EXPECT_EQ(st.deep_border_nodes(), 1u);
+  EXPECT_EQ(st.deep_keys(), 2u);
+}
+
 TEST_F(TreeTest, SameSliceDifferentLengths) {
   // Keys of length 0..8 sharing one slice all coexist in one border node,
   // plus one suffixed key (§4.2: "at most 10 keys with the same slice").
