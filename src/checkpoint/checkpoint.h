@@ -68,21 +68,6 @@ inline std::string checkpoint_manifest_path(const std::string& dir) {
   return dir + "/MANIFEST";
 }
 
-// Makes the directory's entries (creates, renames, unlinks) durable. A
-// filesystem that cannot sync directories at all (EINVAL) is not an error.
-inline bool sync_dir(const std::string& dir) {
-  int fd = io::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return false;
-  }
-  int sr;
-  while ((sr = io::fdatasync(fd)) != 0 && errno == EINTR) {
-  }
-  bool ok = sr == 0 || errno == EINVAL;
-  io::close(fd);
-  return ok;
-}
-
 // The MANIFEST is the checkpoint's commit point: parts are fdatasynced by
 // their writers, the manifest body is written + fdatasynced to a temp file,
 // the directory is synced so the parts' entries are durable, and the final
@@ -115,14 +100,14 @@ inline bool write_manifest(const std::string& dir, const CheckpointManifest& m) 
   while ((sr = io::fdatasync(fd)) != 0 && errno == EINTR) {
   }
   io::close(fd);
-  if (sr != 0 || !sync_dir(dir)) {
+  if (sr != 0 || !io::sync_dir(dir)) {
     return false;
   }
   int rr;
   while ((rr = io::rename(tmp.c_str(), checkpoint_manifest_path(dir).c_str())) != 0 &&
          errno == EINTR) {
   }
-  return rr == 0 && sync_dir(dir);
+  return rr == 0 && io::sync_dir(dir);
 }
 
 // Unlinks every part file in `dir` that `m` does not name: the previous

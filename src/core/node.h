@@ -230,6 +230,11 @@ class alignas(kCacheLineSize) BorderNode : public NodeBase<C> {
   // Writer-side bookkeeping: number of removals (or split evacuations) whose
   // slots may be reused. Guarded by the node lock.
   uint8_t nremoved_ = 0;
+  // Writer-side: the slot this node inserted last, or kNoSlot. A split whose
+  // new key lands right after it is an ascending run (split_insert). Guarded
+  // by the node lock; it sits in padding, so the node keeps its size.
+  static constexpr uint8_t kNoSlot = 0xFF;
+  uint8_t last_insert_ = kNoSlot;
 
   // Raw field access for split/maintenance code paths (lock held).
   std::atomic<uint64_t>& raw_permutation() { return permutation_; }
@@ -255,6 +260,10 @@ class alignas(kCacheLineSize) BorderNode : public NodeBase<C> {
   std::atomic<StringBag*> ksuf_{nullptr};
   uint64_t lowkey_ = 0;
 };
+
+// Five cache lines: the 15-slot border node must stay in the 320 B class.
+static_assert(sizeof(BorderNode<DefaultConfig>) == 5 * kCacheLineSize,
+              "BorderNode grew out of the 320 B size class");
 
 template <typename C>
 class alignas(kCacheLineSize) InteriorNode : public NodeBase<C> {

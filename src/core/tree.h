@@ -64,9 +64,18 @@ struct TreeStats {
   // trie layers (deep_border_nodes, deep_keys).
   uint64_t layer0_border_nodes = 0;
   uint64_t layer0_keys = 0;
+  // Occupied layer-0 border slots: keys plus layer links.
+  uint64_t layer0_slots = 0;
 
   uint64_t deep_border_nodes() const { return border_nodes - layer0_border_nodes; }
   uint64_t deep_keys() const { return keys - layer0_keys; }
+
+  // Occupied slots per layer-0 border node, out of the node's width.
+  double layer0_slot_fill() const {
+    return layer0_border_nodes == 0 ? 0.0
+                                    : static_cast<double>(layer0_slots) /
+                                          static_cast<double>(layer0_border_nodes);
+  }
 
   double avg_border_fill(int width) const {
     return border_nodes == 0
@@ -864,6 +873,7 @@ class BasicTree {
     release_fence();  // slot contents before permutation publish (§4.6.2)
     perm.insert_from_back(pos);
     n->set_permutation(perm);
+    n->last_insert_ = static_cast<uint8_t>(slot);
   }
 
   void assign_suffix(Border* n, int slot, std::string_view suf, ThreadContext& ti) {
@@ -872,10 +882,10 @@ class BasicTree {
       // Adaptive start: size to the first suffix plus a little slack rather
       // than reserving worst-case space for 15 suffixes (§4.2). The fixed
       // alternative (kFixedSuffixBytes) reserves worst-case space up front.
-      size_t cap = C::kFixedSuffixBytes != 0 ? C::kFixedSuffixBytes
-                                             : suf.size() + 3 * kSliceBytes;
-      if (cap < suf.size()) {
-        cap = suf.size();
+      size_t need = StringBag::stored_size(suf.size());
+      size_t cap = C::kFixedSuffixBytes != 0 ? C::kFixedSuffixBytes : need + 3 * kSliceBytes;
+      if (cap < need) {
+        cap = need;
       }
       bag = StringBag::make(ti, Border::kWidth, cap);
       bool ok = bag->assign(slot, suf);
@@ -897,7 +907,8 @@ class BasicTree {
         live |= 1u << s;
       }
     }
-    StringBag* nb = StringBag::make_copy(ti, *bag, live, suf.size() + bag->capacity());
+    StringBag* nb =
+        StringBag::make_copy(ti, *bag, live, StringBag::stored_size(suf.size()) + bag->capacity());
     bool ok = nb->assign(slot, suf);
     (void)ok;
     assert(ok);
@@ -936,7 +947,8 @@ class BasicTree {
     Key k2(rest);
     nl->set_slice(0, k2.slice());
     if (k2.has_suffix()) {
-      StringBag* bag = StringBag::make(ti, Border::kWidth, k2.suffix().size() + kSliceBytes);
+      StringBag* bag = StringBag::make(
+          ti, Border::kWidth, StringBag::stored_size(k2.suffix().size()) + kSliceBytes);
       bool ok = bag->assign(0, k2.suffix());
       (void)ok;
       assert(ok);
@@ -988,16 +1000,22 @@ class BasicTree {
       }
     }
 
-    // Split point: the right sibling receives ents[m..W]. Prefer the middle,
-    // but never separate keys sharing a slice (at most 10 keys share one, so
-    // a boundary always exists); if the insert is a rightmost append with no
-    // next sibling, move only the new key (§4.3's sequential optimization) —
-    // unless the new key shares its slice with the node's last entry: the
-    // sibling's lowkey is a slice, so a same-slice straddle would route gets
-    // for the kept entry to the new node and miss it.
+    // Split point: the right sibling receives ents[m..W]. An ascending run —
+    // the new key lands right after the key this node inserted last, or is a
+    // rightmost append with no next sibling — splits at the insert point, so
+    // the left node stays as full as the run made it and the run goes on in
+    // the right one (§4.3's sequential optimization, extended to runs
+    // anywhere in the tree). The left node must keep at least half, or a run
+    // into a node full of larger keys would leave a trail of one-key nodes.
+    // Otherwise prefer the middle. Never separate keys sharing a slice (at
+    // most 10 keys share one, so a boundary always exists): the sibling's
+    // lowkey is a slice, so a same-slice straddle would route gets for the
+    // kept entry to the new node and miss it.
+    bool run = pos == W ? n->next() == nullptr || ents[W - 1].slot == n->last_insert_
+                        : pos >= (W + 1) / 2 && ents[pos - 1].slot == n->last_insert_;
     int m = -1;
-    if (pos == W && n->next() == nullptr && ents[W - 1].slice != ents[W].slice) {
-      m = W;
+    if (run && ents[pos - 1].slice != ents[pos].slice) {
+      m = pos;
     } else {
       int mid = (W + 1) / 2;
       for (int delta = 0; delta <= W && m < 0; ++delta) {
@@ -1025,10 +1043,10 @@ class BasicTree {
       for (int i = m; i <= W; ++i) {
         if (ents[i].slot < 0) {
           if (key.has_suffix()) {
-            suffix_bytes += key.suffix().size();
+            suffix_bytes += StringBag::stored_size(key.suffix().size());
           }
         } else if (keylenx_has_suffix(n->keylenx(ents[i].slot))) {
-          suffix_bytes += n->suffix(ents[i].slot).size();
+          suffix_bytes += StringBag::stored_size(n->suffix(ents[i].slot).size());
         }
       }
       if (suffix_bytes > 0) {
@@ -1098,6 +1116,9 @@ class BasicTree {
       int vacated = W - (kc - (new_left ? 1 : 0));
       n->nremoved_ = static_cast<uint8_t>(
           n->nremoved_ + vacated > 255 ? 255 : n->nremoved_ + vacated);
+      // The run, if any, continues in whichever node took the new key.
+      n->last_insert_ = new_left ? static_cast<uint8_t>(order[new_pos_in_left]) : Border::kNoSlot;
+      n2->last_insert_ = new_left ? Border::kNoSlot : static_cast<uint8_t>(pos - m);
     }
 
     // Link n2 into the border list. n and n2 are locked; the old next's prev
@@ -1483,6 +1504,7 @@ class BasicTree {
       st->layer0_border_nodes += layer == 1;
       st->node_bytes += sizeof(Border);
       Permuter perm(b->raw_permutation().load(std::memory_order_relaxed));
+      st->layer0_slots += layer == 1 ? perm.size() : 0;
       for (int i = 0; i < perm.size(); ++i) {
         int s = perm.get(i);
         if (keylenx_is_layer(b->keylenx(s))) {

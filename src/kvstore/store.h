@@ -345,7 +345,14 @@ class Store {
         }
       }
       if (!lops.empty()) {
-        ensure_log(s)->append_batch(std::span<const LogShard::BatchOp>(lops));
+        LogShard* log = ensure_log(s);
+        log->append_batch(std::span<const LogShard::BatchOp>(lops));
+        if (MT_UNLIKELY(log->segment_full())) {
+          // A full segment is closed like a detached session's log, and
+          // the next write continues in another file.
+          log->retire_producer();
+          s.log_ = nullptr;
+        }
       }
     }
     return applied;
@@ -529,8 +536,9 @@ class Store {
 
   // Full §5 recovery into this (empty) store: load the checkpoint if one
   // completed, then replay logs from the checkpoint's start time up to the
-  // cutoff t = min over logs of last timestamp. The logs are read on up
-  // to nthreads threads and replayed on nthreads; 0 means one.
+  // cutoff t = min over logs of last timestamp. The checkpoint parts and the
+  // logs are read on up to nthreads threads and replayed on nthreads; 0
+  // means one.
   RecoveryResult recover(const std::string& checkpoint_dir, const std::string& log_dir,
                          unsigned nthreads) {
     nthreads = std::max(1u, nthreads);
@@ -557,11 +565,12 @@ class Store {
           throw std::runtime_error("checkpoint: MANIFEST names missing part " + path);
         }
       }
-      // Each part streams straight into the tree as it is decoded, one
-      // thread per part. A part this build cannot read (unknown header
-      // version) throws from its worker, and recover rethrows it.
+      // Each part streams straight into the tree as it is decoded, on up to
+      // nthreads threads whatever the number of parts. A part this build
+      // cannot read (unknown header version) throws from its worker, and
+      // recover rethrows it.
       std::atomic<uint64_t> loaded{0};
-      parallel_for(m.parts, m.parts, [&](size_t w) {
+      parallel_for(m.parts, nthreads, [&](size_t w) {
         Session s(*this, static_cast<unsigned>(w));
         std::string part = read_whole_file(
             checkpoint_part_path(checkpoint_dir, m.start_ts_us, static_cast<unsigned>(w)));
@@ -624,6 +633,11 @@ class Store {
     for (auto& w : log_writers_) {
       w->truncate_all();
     }
+    std::lock_guard<std::mutex> lock(log_mu_);
+    for (const std::string& path : full_segments_) {
+      io::unlink(path.c_str());
+    }
+    full_segments_.clear();
   }
 
   // Aggregate logging-thread statistics (and the sticky disk error, if any).
@@ -751,10 +765,10 @@ class Store {
     return s.log_;
   }
 
-  // Slow path, once per session: reuse a parked shard (file + arenas) when
-  // one is free, otherwise create the next log-<n>.bin. Reuse bounds both
-  // file count and allocation under session churn — a reused shard's
-  // appends simply continue after its mid-file kClose marker.
+  // Slow path, once per session and segment: reuse a parked shard (file +
+  // arenas) when one is free, otherwise create the next log-<n>.bin. Reuse
+  // bounds both file count and allocation under session churn — a reused
+  // shard's appends simply continue after its mid-file kClose marker.
   LogShard* claim_shard(Session& s) {
     unsigned part = s.worker_id_ % static_cast<unsigned>(log_writers_.size());
     LogShard* shard = log_pool_.try_claim(part);
@@ -775,12 +789,20 @@ class Store {
   // Startup: open every existing log file as a parked shard (chopping any
   // torn tail a crash left, so O_APPEND cannot bury fresh records behind
   // bytes recovery will never reach) and park it for reuse. Files keep
-  // their on-disk live/complete state until recover() consumes them.
+  // their on-disk live/complete state until recover() consumes them. A file
+  // that already reached the segment size is a retired segment: recovery
+  // reads it and truncate_logs unlinks it, but no session writes to it
+  // again, so it gets no shard (no arenas, no descriptor).
   void adopt_existing_logs() {
     for (const std::string& path : list_log_files(opt_.log_dir)) {
       std::string name = path.substr(path.find_last_of('/') + 1);
       unsigned idx = static_cast<unsigned>(std::strtoul(name.c_str() + 4, nullptr, 10));
       next_log_file_ = std::max(next_log_file_, idx + 1);
+      struct stat st;
+      if (::stat(path.c_str(), &st) == 0 && static_cast<size_t>(st.st_size) >= kLogSegmentBytes) {
+        full_segments_.push_back(path);
+        continue;
+      }
       unsigned part = idx % static_cast<unsigned>(log_writers_.size());
       log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
                                                        part, nullptr,
@@ -888,8 +910,9 @@ class Store {
   std::vector<std::unique_ptr<LogWriter>> log_writers_;
   std::vector<std::unique_ptr<LogShard>> log_shards_;
   LogShardPool log_pool_;
-  std::mutex log_mu_;          // guards log_shards_ growth + file naming
+  std::mutex log_mu_;  // guards log_shards_ growth, file naming, full_segments_
   unsigned next_log_file_ = 0;
+  std::vector<std::string> full_segments_;  // adopted at the segment size
   // Declared before tree_ so the cache outlives the tree's pointer to it.
   std::unique_ptr<RecordCache<Tree::Config>> cache_;
   std::unique_ptr<Tree> tree_;

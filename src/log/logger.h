@@ -26,6 +26,14 @@
 //  * Logger — a one-shard, one-writer convenience wrapper for callers that
 //    just want "a log file" (models, baselines, tests).
 //
+// Segments: a shard reports segment_full() once its file reaches the
+// segment size (kLogSegmentBytes unless the constructor says otherwise).
+// The Store then retires it at a batch boundary — the logging thread closes
+// it with a kClose marker, releases its buffers and never hands it out
+// again — and the session continues in a fresh log-<n>.bin, so no log file
+// outgrows a segment by more than one flush. truncate_all unlinks retired
+// segments instead of emptying them.
+//
 // Timestamp discipline (what makes the §5 recovery cutoff sound): one shard
 // = one file = one producer, so DATA-record timestamps are monotone within
 // a file and a torn tail can only lose a suffix — never a record older than
@@ -72,6 +80,10 @@ namespace masstree {
 
 class LogWriter;
 
+// A session's log file is retired once it reaches this size, well below
+// common file-size limits (RLIMIT_FSIZE, filesystem caps).
+inline constexpr size_t kLogSegmentBytes = size_t{256} << 20;
+
 // One producer's wait-free log: double-buffered arena + its own file.
 // Producer-side methods (append_*, release_producer, reopen) must be called
 // by one thread at a time (per-session ownership, or external
@@ -79,8 +91,9 @@ class LogWriter;
 class LogShard {
  public:
   LogShard(const std::string& path, size_t half_bytes, unsigned partition,
-           ThreadCounters* counters, size_t compress_threshold = 128)
-      : path_(path), partition_(partition),
+           ThreadCounters* counters, size_t compress_threshold = 128,
+           size_t segment_bytes = kLogSegmentBytes)
+      : path_(path), partition_(partition), segment_bytes_(segment_bytes),
         compress_threshold_(compress_threshold), counters_(counters) {
     // O_RDWR, not O_WRONLY: tail repair preads the existing contents. No
     // O_APPEND — POSIX makes pwrite on an append-mode fd ignore its offset,
@@ -108,9 +121,17 @@ class LogShard {
     off_t end = io::lseek(fd_, 0, SEEK_END);
     write_off_ = end > 0 ? static_cast<size_t>(end) : 0;
     prealloc_end_ = write_off_;
+    file_bytes_.store(write_off_, std::memory_order_relaxed);
+    // An empty file may be one this open just created: its directory entry
+    // is synced before the first group commit acknowledges a record in it.
+    dir_sync_pending_ = write_off_ == 0;
   }
 
-  ~LogShard() { io::close(fd_); }
+  ~LogShard() {
+    if (fd_ >= 0) {
+      io::close(fd_);
+    }
+  }
 
   LogShard(const LogShard&) = delete;
   LogShard& operator=(const LogShard&) = delete;
@@ -292,6 +313,20 @@ class LogShard {
   // kClose completion marker, and (when pooled) parks the shard for reuse.
   void release_producer();
 
+  // True once the file has reached the segment size (as of the logging
+  // thread's last write): the producer should retire this shard.
+  bool segment_full() const {
+    return file_bytes_.load(std::memory_order_relaxed) >= segment_bytes_;
+  }
+
+  // Detach the producer for good: like release_producer, but the closed
+  // shard is never parked for reuse, its buffers and descriptor are freed,
+  // and truncate_all unlinks its file.
+  void retire_producer() {
+    retired_.store(true, std::memory_order_relaxed);
+    release_producer();  // its release store publishes retired_ too
+  }
+
   // Park an adopted (pre-existing) file without touching its contents: the
   // logging thread leaves it alone and the pool may hand it to a future
   // session. The file keeps its on-disk live/complete state so a recovery
@@ -319,6 +354,7 @@ class LogShard {
       off_t end = io::lseek(fd_, 0, SEEK_END);
       write_off_ = end > 0 ? static_cast<size_t>(end) : 0;
       prealloc_end_ = write_off_;
+      file_bytes_.store(write_off_, std::memory_order_relaxed);
     }
     released_.store(false, std::memory_order_relaxed);
     close_done_.store(false, std::memory_order_release);
@@ -355,6 +391,9 @@ class LogShard {
   // record (len 0) and is trimmed at close/adoption/recovery-seal time.
   size_t write_off_ = 0;
   size_t prealloc_end_ = 0;
+  // write_off_ as the producer may read it (segment_full).
+  std::atomic<size_t> file_bytes_{0};
+  bool dir_sync_pending_ = false;  // directory entry not yet synced
   size_t prealloc_chunk_ = 256 << 10;  // doubles per extend, capped at 4 MiB
   uint64_t last_fsync_us_ = 0;         // group-commit force cadence
   uint64_t last_mark_us_ = 0;          // heartbeat-marker pacing
@@ -556,6 +595,7 @@ class LogShard {
 
   std::string path_;
   unsigned partition_;
+  size_t segment_bytes_;
   int fd_;
   size_t compress_threshold_;            // 0 disables compression
   Buf bufs_[2];
@@ -578,6 +618,7 @@ class LogShard {
   std::unique_ptr<std::string> jumbo_;
   std::atomic<bool> jumbo_pending_{false};
   std::atomic<bool> released_{false};    // producer detached
+  std::atomic<bool> retired_{false};     // ...for good (retire_producer)
   std::atomic<bool> close_done_{false};  // writer stamped kClose; parked
   std::atomic<int> error_{0};
   io::IoErrorDetail error_detail_;       // ctor-time only; see accessor
@@ -835,8 +876,10 @@ class LogWriter {
       s.close_done_.store(true, std::memory_order_release);
       // A fail-stopped shard never re-enters the pool: a session claiming
       // it would log into a file that silently discards everything. Fresh
-      // sessions mint a fresh (healthy) file instead.
-      if (pool_ != nullptr && !closing && s.error() == 0) {
+      // sessions mint a fresh (healthy) file instead. Neither does a
+      // retired (full) segment.
+      if (pool_ != nullptr && !closing && s.error() == 0 &&
+          !s.retired_.load(std::memory_order_relaxed)) {
         pool_->park(&s);
       }
     } else if (begin_after == pub_before &&
@@ -866,8 +909,17 @@ class LogWriter {
     bool deadline_due = t0 - s.last_fsync_us_ >= opt_.flush_interval_ms * 1000;
     if (s.unsynced_bytes_ > 0 && opt_.fsync_on_flush && s.error() == 0 &&
         (force_sync || closing || released || deadline_due)) {
-      int sr;
-      while ((sr = io::fdatasync(s.fd_)) != 0 && errno == EINTR) {
+      // A new file's directory entry goes first: a record acknowledged by
+      // this commit must not vanish with a file a crash forgot.
+      if (MT_UNLIKELY(s.dir_sync_pending_)) {
+        s.dir_sync_pending_ = false;
+        size_t slash = s.path_.find_last_of('/');
+        if (!io::sync_dir(slash == std::string::npos ? "." : s.path_.substr(0, slash + 1))) {
+          note_error(s, "fdatasync", errno);
+        }
+      }
+      int sr = 0;
+      while (s.error() == 0 && (sr = io::fdatasync(s.fd_)) != 0 && errno == EINTR) {
       }
       if (sr != 0) {
         note_error(s, "fdatasync", errno);
@@ -876,7 +928,23 @@ class LogWriter {
       s.unsynced_bytes_ = 0;
       syncs_.fetch_add(1, std::memory_order_relaxed);
     }
+    if (released && s.retired_.load(std::memory_order_relaxed)) {
+      free_retired(s);  // closed and synced above
+    }
     return bytes;
+  }
+
+  // A retired segment is complete on disk: give back its arena halves and
+  // its descriptor. Logging thread only; the producer has moved on.
+  static void free_retired(LogShard& s) {
+    for (LogShard::Buf& b : s.bufs_) {
+      b.data.reset();
+      b.cap = 0;
+    }
+    if (s.fd_ >= 0) {
+      io::close(s.fd_);
+      s.fd_ = -1;
+    }
   }
 
   // Gather the shard's pending bytes — jumbo record first (it predates
@@ -1109,6 +1177,7 @@ class LogWriter {
       iov[0].iov_len -= skip;
     }
     s.write_off_ += total;
+    s.file_bytes_.store(s.write_off_, std::memory_order_relaxed);
   }
 
   void write_all(LogShard& s, const char* p, size_t n) {
@@ -1117,8 +1186,21 @@ class LogWriter {
   }
 
   void truncate_round() {
+    std::vector<LogShard*> unlinked;
     for (LogShard* s : cache_) {
       drain_discard(*s);
+      if (s->released_.load(std::memory_order_acquire) &&
+          s->retired_.load(std::memory_order_relaxed)) {
+        // A retired segment goes away whole, closed or not: its producer
+        // has moved on to another file.
+        if (!s->close_done_.load(std::memory_order_relaxed)) {
+          s->close_done_.store(true, std::memory_order_release);
+          free_retired(*s);
+        }
+        io::unlink(s->path().c_str());
+        unlinked.push_back(s);
+        continue;
+      }
       {
         std::lock_guard<std::mutex> lock(s->geom_mu_);
         int tr;
@@ -1130,6 +1212,7 @@ class LogWriter {
         s->write_off_ = 0;
         s->prealloc_end_ = 0;
         s->unsynced_bytes_ = 0;
+        s->file_bytes_.store(0, std::memory_order_relaxed);
       }
       // The discarded bytes may include the producer's delta base. Tell it
       // to re-anchor (any append ordered after truncate_all's return sees
@@ -1137,6 +1220,15 @@ class LogWriter {
       // append may still slip in before noticing.
       s->rebase_needed_.store(true, std::memory_order_release);
       s->skip_dangling_ = true;
+    }
+    if (!unlinked.empty()) {
+      // Unlinked segments leave this writer for good (their owner keeps
+      // the objects); later rounds never visit them again.
+      std::lock_guard<std::mutex> lock(shards_mu_);
+      std::erase_if(shards_, [&](LogShard* s) {
+        return std::find(unlinked.begin(), unlinked.end(), s) != unlinked.end();
+      });
+      ++shards_gen_;
     }
   }
 

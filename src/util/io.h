@@ -542,6 +542,23 @@ inline off_t lseek(int fd, off_t off, int whence) {
   return p->xlseek(fd, off, whence);
 }
 
+// Makes the directory's entries (creates, renames, unlinks) durable. A
+// filesystem that cannot sync directories at all (EINVAL) is not an error.
+inline bool sync_dir(const std::string& dir) {
+  int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return false;
+  }
+  int sr;
+  while ((sr = fdatasync(fd)) != 0 && errno == EINTR) {
+  }
+  bool ok = sr == 0 || errno == EINVAL;
+  int err = errno;
+  close(fd);
+  errno = err;
+  return ok;
+}
+
 }  // namespace io
 }  // namespace masstree
 

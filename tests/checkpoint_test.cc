@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -397,6 +401,59 @@ TEST(CheckpointRestore, OneThreadRestoresFourPartsAndFourLogs) {
   EXPECT_TRUE(res.used_checkpoint);
   EXPECT_GT(res.log_entries_applied, 0u);
   expect_store_matches(restored, oracle);
+}
+
+// The calling process's thread count, from /proc/self/stat (field 20).
+unsigned process_threads() {
+  std::ifstream f("/proc/self/stat");
+  std::string stat((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+  size_t p = stat.rfind(')');  // the command name may hold spaces
+  std::istringstream rest(p == std::string::npos ? std::string() : stat.substr(p + 2));
+  std::string field;
+  for (int i = 3; i < 20 && (rest >> field); ++i) {
+  }
+  unsigned n = 0;
+  rest >> n;
+  return n;
+}
+
+// recover(..., 1) loads a 4-part checkpoint on one thread, not one per
+// part: a sampler watches the process's thread count for the whole
+// recovery, and it never rises more than one above where it started.
+TEST(CheckpointRestore, PartLoadRespectsNthreads) {
+  TempDir ckpt("nthreads");
+  {
+    Store store;
+    Store::Session s(store, 0);
+    std::string val(200, 'v');
+    for (int i = 0; i < 80000; ++i) {
+      store.put(ts::padded_key(static_cast<uint64_t>(i)), {{0, val}}, s);
+    }
+    ASSERT_TRUE(store.checkpoint(ckpt.str(), 4));
+  }
+  ASSERT_EQ(read_manifest(ckpt.str()).parts, 4u);
+  Store restored;
+  std::atomic<bool> done{false};
+  std::atomic<unsigned> peak{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      unsigned n = process_threads();
+      if (n > peak.load(std::memory_order_relaxed)) {
+        peak.store(n, std::memory_order_relaxed);
+      }
+    }
+  });
+  // The sampler is running before the base is read, so it is counted in it.
+  while (peak.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  unsigned base = process_threads();
+  ASSERT_GT(base, 0u);
+  Store::RecoveryResult res = restored.recover(ckpt.str(), "", 1);
+  done.store(true, std::memory_order_release);
+  sampler.join();
+  EXPECT_EQ(res.checkpoint_records, 80000u);
+  EXPECT_LE(peak.load(), base + 1);
 }
 
 // A log this build cannot read (unknown header version) throws from the

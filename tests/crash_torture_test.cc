@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -278,6 +279,96 @@ TEST(CrashTorture, CutEverySyscallBoundary) {
       rr = RunWorkload(log_dir, ckpt_dir, phases, &plan);
     }
     CheckRecovered(log_dir, ckpt_dir, phases, rr, tag);
+  }
+}
+
+// The same phases written below the Store, straight into log shards whose
+// segment size is one byte: every write is synced and then retires its
+// file (the Store's roll — kClose, buffers and descriptor freed, never
+// reused) for a fresh log-<n>.bin, whose directory entry is synced before
+// the commit that acknowledges its first record.
+RunResult RunSegmentedLogWorkload(const std::string& log_dir, const std::vector<Phase>& phases,
+                                  io::FaultPlan* plan) {
+  auto pre_cut = [&] { return plan == nullptr || !plan->cut_fired(); };
+  RunResult rr;
+  LogShardPool pool;
+  LogWriter writer(LogWriter::Options{}, &pool);
+  std::vector<std::unique_ptr<LogShard>> files;
+  auto roll = [&] {
+    std::string path = Store::log_path(log_dir, static_cast<unsigned>(files.size()));
+    files.push_back(std::make_unique<LogShard>(path, 4 << 10, 0, nullptr, 128,
+                                               /*segment_bytes=*/1));
+    writer.add_shard(files.back().get());
+  };
+  roll();
+  writer.start();
+  uint64_t version = 0;
+  for (size_t p = 0; p < phases.size(); ++p) {
+    for (const auto& [k, v] : phases[p]) {
+      LogShard& log = *files.back();
+      if (v.has_value()) {
+        log.append_put(k, {{0, *v}}, ++version);
+      } else {
+        log.append_remove(k, ++version);
+      }
+      writer.sync();
+      if (log.segment_full()) {
+        log.retire_producer();
+        roll();
+      }
+    }
+    writer.sync();
+    if (pre_cut()) {
+      rr.acked_phases = static_cast<int>(p) + 1;
+    }
+  }
+  writer.stop();
+  return rr;
+}
+
+// A cut anywhere in those rolls still recovers a per-key prefix of the
+// acked writes.
+TEST(CrashTorture, CutDuringSegmentRolls) {
+  auto phases = MakeWorkload();
+  std::string ckpt_dir = FreshDir("torture_roll_ckpt");  // stays empty
+  uint64_t total;
+  {
+    std::string log_dir = FreshDir("torture_roll_trace_logs");
+    io::FaultPlan plan;
+    plan.trace = true;
+    RunResult rr;
+    {
+      io::Armed armed(&plan);
+      rr = RunSegmentedLogWorkload(log_dir, phases, &plan);
+    }
+    EXPECT_EQ(rr.acked_phases, 4);
+    total = plan.calls();
+    // The workload really rolls: one file per write, and the log
+    // directory itself is synced for the new entries.
+    size_t writes = 0;
+    for (const auto& ph : phases) {
+      writes += ph.size();
+    }
+    EXPECT_EQ(list_log_files(log_dir).size(), writes + 1);
+    bool synced_dir = false;
+    for (const auto& r : plan.trace_log()) {
+      synced_dir |= std::string_view(r.name) == "open" && r.path == log_dir + "/";
+    }
+    EXPECT_TRUE(synced_dir);
+    CheckRecovered(log_dir, ckpt_dir, phases, rr, "roll trace");
+  }
+  uint64_t stride = FullSweep() ? 1 : std::max<uint64_t>(1, total / 24);
+  for (uint64_t cut = 1; cut <= total; cut += stride) {
+    std::string log_dir = FreshDir("torture_roll_logs");
+    io::FaultPlan plan;
+    plan.cut_at_call = cut;
+    plan.drop_unsynced_at_cut = true;
+    RunResult rr;
+    {
+      io::Armed armed(&plan);
+      rr = RunSegmentedLogWorkload(log_dir, phases, &plan);
+    }
+    CheckRecovered(log_dir, ckpt_dir, phases, rr, "roll cut@" + std::to_string(cut));
   }
 }
 

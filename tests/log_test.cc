@@ -797,6 +797,69 @@ TEST(Logger, StickyErrorSurfacesOnFullDisk) {
   EXPECT_EQ(log.error(), ENOSPC);
 }
 
+// ---------------- log segments ----------------
+
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// A shard whose file reaches its segment size is retired: the logging
+// thread drains it, closes it with kClose, frees its arena halves and its
+// descriptor, and never parks it for reuse. The producer goes on in the
+// next file, and truncate_all unlinks the retired one while it empties the
+// live one.
+TEST(LogSegments, RetiredShardIsClosedFreedAndUnlinked) {
+  constexpr size_t kSegment = 4 << 10;
+  constexpr size_t kHalf = 1 << 10;
+  std::string first_path = TempPath("segment-0.bin");
+  std::string next_path = TempPath("segment-1.bin");
+  std::remove(first_path.c_str());
+  std::remove(next_path.c_str());
+  LogShardPool pool;
+  LogWriter writer({1, true}, &pool);
+  LogShard first(first_path, kHalf, 0, nullptr, 128, kSegment);
+  writer.add_shard(&first);
+  writer.start();
+  uint64_t version = 0;
+  while (!first.segment_full()) {
+    ++version;
+    first.append_put("k" + std::to_string(version), {{0, std::string(100, 'x')}}, version);
+    writer.sync();
+  }
+  size_t fds = OpenFds();
+  first.retire_producer();
+  writer.sync();
+  EXPECT_EQ(OpenFds(), fds - 1);
+  EXPECT_EQ(pool.try_claim(0), nullptr);
+  std::vector<LogEntry> entries = read_log_file(first_path);
+  ASSERT_FALSE(entries.empty());
+  EXPECT_EQ(entries.back().type, LogType::kClose);
+  size_t puts = 0;
+  for (const LogEntry& e : entries) {
+    puts += e.type == LogType::kPut;
+  }
+  EXPECT_EQ(puts, version);
+  EXPECT_LE(std::filesystem::file_size(first_path), kSegment + 2 * kHalf);
+
+  LogShard next(next_path, kHalf, 0, nullptr, 128, kSegment);
+  writer.add_shard(&next);
+  next.append_put("after", {{0, "v"}}, ++version);
+  writer.sync();
+  writer.truncate_all();
+  EXPECT_FALSE(std::filesystem::exists(first_path));
+  EXPECT_EQ(std::filesystem::file_size(next_path), 0u);
+  next.append_put("after-truncate", {{0, "v"}}, ++version);
+  writer.stop();
+  entries = read_log_file(next_path);
+  ASSERT_GE(entries.size(), 2u);
+  EXPECT_EQ(entries.back().type, LogType::kClose);
+}
+
 // ---------------- multi-writer stress over LogWriter ----------------
 
 // Four producer threads, each owning a shard, all drained by one logging

@@ -449,6 +449,53 @@ TEST(Store, SessionChurnReusesLogShards) {
   EXPECT_EQ(res.log_entries_applied, 30u);
 }
 
+// A log file already at the segment size when a store opens is a retired
+// segment: no session appends to it again (writes go to a fresh
+// log-<n>.bin) and truncate_logs unlinks it.
+TEST(Store, RestartLeavesFullSegmentsOutOfReuse) {
+  std::string log_dir = FreshDir("store_full_segment_logs");
+  Store::Options opt;
+  opt.log_dir = log_dir;
+  opt.log_partitions = 1;
+  {
+    Store store(opt);
+    Store::Session s(store, 0);
+    for (int i = 0; i < 100; ++i) {
+      store.put("old" + std::to_string(i), {{0, "v"}}, s);
+    }
+  }
+  std::vector<std::string> files = list_log_files(log_dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string full = files[0];
+  // A zero tail up to the segment size reads like the preallocated extent
+  // a busy segment ends in, and costs no disk (the file is sparse).
+  std::filesystem::resize_file(full, kLogSegmentBytes);
+  {
+    Store store(opt);
+    Store::Session s(store, 0);
+    for (int i = 0; i < 100; ++i) {
+      store.put("new" + std::to_string(i), {{0, "w"}}, s);
+    }
+    store.sync_logs();
+    EXPECT_EQ(std::filesystem::file_size(full), kLogSegmentBytes);
+    files = list_log_files(log_dir);
+    ASSERT_EQ(files.size(), 2u);
+    const std::string fresh = files[0] == full ? files[1] : files[0];
+    EXPECT_GT(std::filesystem::file_size(fresh), 0u);
+    store.truncate_logs();
+    EXPECT_FALSE(std::filesystem::exists(full));
+    EXPECT_EQ(std::filesystem::file_size(fresh), 0u);
+    store.put("after", {{0, "x"}}, s);
+  }
+  Store recovered;
+  auto res = recovered.recover("", log_dir, 1);
+  EXPECT_EQ(res.log_entries_applied, 1u);
+  Store::Session s(recovered, 0);
+  std::vector<std::string> out;
+  EXPECT_TRUE(recovered.get("after", {}, &out, s));
+  EXPECT_FALSE(recovered.get("new0", {}, &out, s));
+}
+
 // Options::logger.compress_threshold is the Store's one compression knob:
 // 0 must keep a compressible 1 KiB value raw in the log, while the default
 // threshold compresses the same value.

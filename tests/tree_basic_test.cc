@@ -98,6 +98,8 @@ TEST_F(TreeTest, StatsSplitBorderNodesAndKeysByLayer) {
   EXPECT_EQ(st.keys, 3u);
   EXPECT_EQ(st.layer0_border_nodes, 1u);
   EXPECT_EQ(st.layer0_keys, 1u);
+  EXPECT_EQ(st.layer0_slots, 2u);  // "short" and the layer link
+  EXPECT_DOUBLE_EQ(st.layer0_slot_fill(), 2.0);
   EXPECT_EQ(st.deep_border_nodes(), 1u);
   EXPECT_EQ(st.deep_keys(), 2u);
 }
@@ -144,6 +146,67 @@ TEST_F(TreeTest, SplitsOnSequentialInsert) {
   EXPECT_GT(st.interior_nodes, 0u);
   // Sequential optimization: nodes should be densely packed, not half full.
   EXPECT_GT(st.avg_border_fill(15), 0.85);
+}
+
+// Loads "%08d" keys 0..n-1 in `order`; returns layer-0 slots per node.
+double LoadAndMeasureFill(Tree& tree, ThreadContext& ti, const std::vector<int>& order) {
+  for (int i : order) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "%08d", i);
+    uint64_t old;
+    EXPECT_TRUE(tree.insert(buf, static_cast<uint64_t>(i), &old, ti)) << buf;
+  }
+  TreeStats st = tree.collect_stats();
+  EXPECT_EQ(st.keys, order.size());
+  return st.layer0_slot_fill();
+}
+
+// An ascending run into the middle of the tree splits at its insert point.
+// Every 8th key goes in first: the rightmost-append rule leaves full nodes
+// of 15 keys, each spanning 120 keys of the range. Then the other seven in
+// eight go in, ascending. A middle split gives 8 keys per node (2,400
+// nodes here). With the run rule, a node keeps the run's keys before the
+// new key, and the every-8th keys ahead travel with the run into the next
+// node, so each 120-key stretch ends in exactly 11 nodes: 10, 11, 13, 8, 14
+// below the stretch's first middle split and 8, 10, 11, 13, 8, 14 above it
+// (10.9 slots per node). A rule that reaches 12 (10 nodes per stretch)
+// must know where the run will stop: the best split sequence with the
+// whole load in view packs a stretch into 9 nodes.
+TEST_F(TreeTest, AscendingRunsSplitAtTheInsertPoint) {
+  const int n = 160 * 120;
+  std::vector<int> order;
+  for (int i = 0; i < n; i += 8) {
+    order.push_back(i);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (i % 8 != 0) {
+      order.push_back(i);
+    }
+  }
+  LoadAndMeasureFill(tree_, ti_, order);
+  TreeStats st = tree_.collect_stats();
+  EXPECT_EQ(st.layer0_border_nodes, static_cast<uint64_t>(n / 120 * 11));
+  EXPECT_NEAR(st.layer0_slot_fill(), 120.0 / 11, 1e-9);
+  for (int i = 0; i < n; ++i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "%08d", i);
+    ASSERT_EQ(Get(buf), static_cast<uint64_t>(i)) << buf;
+  }
+}
+
+// Random order rarely meets the run rule: fill stays within 2% of the
+// middle-split-only rule's 10.52 slots per node on this load.
+TEST_F(TreeTest, RandomOrderFillUnchanged) {
+  const int n = 20000;
+  std::vector<int> order;
+  for (int i = 0; i < n; ++i) {
+    order.push_back(i);
+  }
+  Rng rng(7);
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.next_range(static_cast<uint64_t>(i) + 1)]);
+  }
+  EXPECT_GE(LoadAndMeasureFill(tree_, ti_, order), 0.98 * 10.52);
 }
 
 TEST_F(TreeTest, SplitsOnRandomInsert) {
