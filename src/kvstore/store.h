@@ -72,15 +72,15 @@ class Store {
 
   // A per-worker-thread handle: thread context + (lazily, on first logged
   // write) an exclusively-owned log shard — the paper's "each query thread
-  // maintains its own log file and in-memory log buffer". The shard returns
-  // to the store's pool when the session ends.
+  // maintains its own log file and in-memory log buffer". The file is
+  // closed for good when the session ends or moves to a fresh file.
   class Session {
    public:
     Session(Store& store, unsigned worker_id) : store_(store), worker_id_(worker_id) {}
 
     ~Session() {
       if (log_ != nullptr) {
-        log_->release_producer();  // logging thread drains, closes, parks it
+        log_->release_producer();  // the logging thread drains and closes it
       }
     }
 
@@ -93,6 +93,7 @@ class Store {
     Store& store_;
     unsigned worker_id_;
     LogShard* log_ = nullptr;
+    uint64_t log_gen_ = 0;  // Store::log_gen_ when log_ was claimed
     ThreadContext ti_;
     // Reusable multiget scratch: the event-loop server batches gets through
     // this session every wakeup, so the request array must not reallocate in
@@ -115,11 +116,9 @@ class Store {
       unsigned nwriters = std::max(1u, opt_.log_partitions);
       for (unsigned i = 0; i < nwriters; ++i) {
         log_writers_.push_back(std::make_unique<LogWriter>(
-            LogWriter::Options{opt_.logger.flush_interval_ms, opt_.logger.fsync_on_flush},
-            &log_pool_));
+            LogWriter::Options{opt_.logger.flush_interval_ms, opt_.logger.fsync_on_flush}));
         // First sticky I/O error anywhere in the logging stack trips the
-        // whole store into read-only mode; set before adoption so even a
-        // construction-time tail-repair failure trips.
+        // whole store into read-only mode.
         log_writers_.back()->set_on_first_error(
             [this](const io::IoErrorDetail& d) { note_io_error(d); });
       }
@@ -345,14 +344,7 @@ class Store {
         }
       }
       if (!lops.empty()) {
-        LogShard* log = ensure_log(s);
-        log->append_batch(std::span<const LogShard::BatchOp>(lops));
-        if (MT_UNLIKELY(log->segment_full())) {
-          // A full segment is closed like a detached session's log, and
-          // the next write continues in another file.
-          log->retire_producer();
-          s.log_ = nullptr;
-        }
+        ensure_log(s)->append_batch(std::span<const LogShard::BatchOp>(lops));
       }
     }
     return applied;
@@ -414,6 +406,9 @@ class Store {
     ::mkdir(dir.c_str(), 0755);
     CheckpointManifest committed = read_manifest(dir);
     CheckpointManifest m;
+    // Sessions writing from here on roll to fresh files, so the files that
+    // hold their older records close and truncate_logs can reclaim them.
+    log_gen_.fetch_add(1);
     m.start_ts_us = wall_us();
     if (committed.valid && m.start_ts_us == committed.start_ts_us) {
       // Two checkpoints never share part names. Step back, not forward:
@@ -523,6 +518,10 @@ class Store {
     if (!write_manifest(dir, m)) {
       return false;
     }
+    {
+      std::lock_guard<std::mutex> lock(log_mu_);
+      ckpt_start_us_ = m.start_ts_us;
+    }
     remove_stale_parts(dir, m);
     return true;
   }
@@ -538,7 +537,8 @@ class Store {
   // completed, then replay logs from the checkpoint's start time up to the
   // cutoff t = min over logs of last timestamp. The checkpoint parts and the
   // logs are read on up to nthreads threads and replayed on nthreads; 0
-  // means one.
+  // means one. A store opened over existing logs calls this before it
+  // writes: until then those files are neither read nor sealed.
   RecoveryResult recover(const std::string& checkpoint_dir, const std::string& log_dir,
                          unsigned nthreads) {
     nthreads = std::max(1u, nthreads);
@@ -624,20 +624,29 @@ class Store {
     }
   }
 
-  // Reclaim log space made redundant by a completed checkpoint (§5). Call
-  // only after checkpoint() returned true; recovery then needs that
-  // checkpoint plus the post-truncation logs. Truncation runs on the
-  // logging threads at a round boundary, so it cannot shear an in-flight
-  // flush.
+  // Reclaim log space made redundant by the last checkpoint this store
+  // committed (§5): unlink the files found at startup, and every closed log
+  // file whose last data record is older than that checkpoint's start —
+  // exactly the records recovery skips. A session's file closes when the
+  // session ends or on its first write after the checkpoint, so an idle
+  // session's file stays until then. Does nothing before a checkpoint.
   void truncate_logs() {
-    for (auto& w : log_writers_) {
-      w->truncate_all();
-    }
+    sync_logs();  // closes every file released before this call
     std::lock_guard<std::mutex> lock(log_mu_);
-    for (const std::string& path : full_segments_) {
+    if (ckpt_start_us_ == 0) {
+      return;
+    }
+    for (const std::string& path : adopted_logs_) {
       io::unlink(path.c_str());
     }
-    full_segments_.clear();
+    adopted_logs_.clear();
+    std::erase_if(log_shards_, [&](const std::unique_ptr<LogShard>& shard) {
+      if (!shard->closed() || shard->last_data_ts_us() >= ckpt_start_us_) {
+        return false;
+      }
+      io::unlink(shard->path().c_str());
+      return true;
+    });
   }
 
   // Aggregate logging-thread statistics (and the sticky disk error, if any).
@@ -758,64 +767,42 @@ class Store {
   }
 
   // ---- per-session log shards --------------------------------------
+  // The one roll site, at a batch boundary: a session's first logged write
+  // claims a shard, and a session whose file is full or predates the last
+  // checkpoint closes it and goes on in a fresh one.
   LogShard* ensure_log(Session& s) {
-    if (MT_UNLIKELY(s.log_ == nullptr)) {
+    uint64_t gen = log_gen_.load(std::memory_order_relaxed);
+    if (MT_UNLIKELY(s.log_ == nullptr || s.log_gen_ != gen || s.log_->segment_full())) {
+      if (s.log_ != nullptr) {
+        s.log_->release_producer();
+      }
       s.log_ = claim_shard(s);
+      s.log_gen_ = gen;
     }
     return s.log_;
   }
 
-  // Slow path, once per session and segment: reuse a parked shard (file +
-  // arenas) when one is free, otherwise create the next log-<n>.bin. Reuse
-  // bounds both file count and allocation under session churn — a reused
-  // shard's appends simply continue after its mid-file kClose marker.
+  // Every shard is a fresh log-<n>.bin; no file is written by two producers.
   LogShard* claim_shard(Session& s) {
     unsigned part = s.worker_id_ % static_cast<unsigned>(log_writers_.size());
-    LogShard* shard = log_pool_.try_claim(part);
-    if (shard != nullptr) {
-      shard->reopen(&s.ti_.counters());
-      return shard;
-    }
     std::lock_guard<std::mutex> lock(log_mu_);
     std::string path = log_path(opt_.log_dir, next_log_file_++);
     log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
-                                                     part, &s.ti_.counters(),
+                                                     &s.ti_.counters(),
                                                      opt_.logger.compress_threshold));
     LogShard* fresh = log_shards_.back().get();
     log_writers_[part]->add_shard(fresh);
     return fresh;
   }
 
-  // Startup: open every existing log file as a parked shard (chopping any
-  // torn tail a crash left, so O_APPEND cannot bury fresh records behind
-  // bytes recovery will never reach) and park it for reuse. Files keep
-  // their on-disk live/complete state until recover() consumes them. A file
-  // that already reached the segment size is a retired segment: recovery
-  // reads it and truncate_logs unlinks it, but no session writes to it
-  // again, so it gets no shard (no arenas, no descriptor).
+  // Startup: note the existing log files and number new ones past them.
+  // No session writes to an existing file; recover() reads and seals them.
   void adopt_existing_logs() {
     for (const std::string& path : list_log_files(opt_.log_dir)) {
       std::string name = path.substr(path.find_last_of('/') + 1);
       unsigned idx = static_cast<unsigned>(std::strtoul(name.c_str() + 4, nullptr, 10));
       next_log_file_ = std::max(next_log_file_, idx + 1);
-      struct stat st;
-      if (::stat(path.c_str(), &st) == 0 && static_cast<size_t>(st.st_size) >= kLogSegmentBytes) {
-        full_segments_.push_back(path);
-        continue;
-      }
-      unsigned part = idx % static_cast<unsigned>(log_writers_.size());
-      log_shards_.push_back(std::make_unique<LogShard>(path, opt_.logger.buffer_bytes,
-                                                       part, nullptr,
-                                                       opt_.logger.compress_threshold));
-      LogShard* shard = log_shards_.back().get();
-      shard->park_adopted();
-      log_writers_[part]->add_shard(shard);
-      // A shard whose adoption already failed (tail-repair ftruncate error)
-      // never enters the reuse pool: sessions would log into a file that
-      // silently discards everything. add_shard surfaced the errno.
-      if (shard->error() == 0) {
-        log_pool_.park(shard);
-      }
+      adopted_logs_.push_back(path);
     }
   }
 
@@ -908,11 +895,12 @@ class Store {
 
   Options opt_;
   std::vector<std::unique_ptr<LogWriter>> log_writers_;
+  std::mutex log_mu_;  // guards the four members below
   std::vector<std::unique_ptr<LogShard>> log_shards_;
-  LogShardPool log_pool_;
-  std::mutex log_mu_;  // guards log_shards_ growth, file naming, full_segments_
   unsigned next_log_file_ = 0;
-  std::vector<std::string> full_segments_;  // adopted at the segment size
+  std::vector<std::string> adopted_logs_;  // files found at startup
+  uint64_t ckpt_start_us_ = 0;             // last committed checkpoint's start
+  std::atomic<uint64_t> log_gen_{0};       // checkpoints begun
   // Declared before tree_ so the cache outlives the tree's pointer to it.
   std::unique_ptr<RecordCache<Tree::Config>> cache_;
   std::unique_ptr<Tree> tree_;

@@ -26,13 +26,15 @@
 //  * Logger — a one-shard, one-writer convenience wrapper for callers that
 //    just want "a log file" (models, baselines, tests).
 //
-// Segments: a shard reports segment_full() once its file reaches the
-// segment size (kLogSegmentBytes unless the constructor says otherwise).
-// The Store then retires it at a batch boundary — the logging thread closes
-// it with a kClose marker, releases its buffers and never hands it out
-// again — and the session continues in a fresh log-<n>.bin, so no log file
-// outgrows a segment by more than one flush. truncate_all unlinks retired
-// segments instead of emptying them.
+// Segments: a shard is one file written by one producer, start to finish.
+// When the producer detaches (release_producer) the logging thread drains
+// the shard, closes the file with a kClose marker, frees its buffers and
+// descriptor, and drops it from its list; the file is never written again.
+// A shard reports segment_full() once its file reaches the segment size
+// (kLogSegmentBytes unless the constructor says otherwise), and the Store
+// then moves the session to a fresh log-<n>.bin, so no log file outgrows a
+// segment by more than one flush. Log space is reclaimed only by unlinking
+// closed files whose records a checkpoint already holds (Store::truncate_logs).
 //
 // Timestamp discipline (what makes the §5 recovery cutoff sound): one shard
 // = one file = one producer, so DATA-record timestamps are monotone within
@@ -85,15 +87,14 @@ class LogWriter;
 inline constexpr size_t kLogSegmentBytes = size_t{256} << 20;
 
 // One producer's wait-free log: double-buffered arena + its own file.
-// Producer-side methods (append_*, release_producer, reopen) must be called
+// Producer-side methods (append_*, release_producer) must be called
 // by one thread at a time (per-session ownership, or external
 // serialization); everything else is the logging thread's.
 class LogShard {
  public:
-  LogShard(const std::string& path, size_t half_bytes, unsigned partition,
-           ThreadCounters* counters, size_t compress_threshold = 128,
-           size_t segment_bytes = kLogSegmentBytes)
-      : path_(path), partition_(partition), segment_bytes_(segment_bytes),
+  LogShard(const std::string& path, size_t half_bytes, ThreadCounters* counters,
+           size_t compress_threshold = 128, size_t segment_bytes = kLogSegmentBytes)
+      : path_(path), segment_bytes_(segment_bytes),
         compress_threshold_(compress_threshold), counters_(counters) {
     // O_RDWR, not O_WRONLY: tail repair preads the existing contents. No
     // O_APPEND — POSIX makes pwrite on an append-mode fd ignore its offset,
@@ -260,9 +261,6 @@ class LogShard {
       // reservation, one publish.
       begin_append();
       uint64_t ts = wall_us();
-      if (MT_UNLIKELY(rebase_needed_.exchange(false, std::memory_order_relaxed))) {
-        prev_ts_valid_ = false;
-      }
       const BatchOp& f = ops[i];
       if (MT_UNLIKELY(first_abs > bufs_[0].cap)) {
         // Larger than an arena half (and so alone in its chunk): written
@@ -309,59 +307,29 @@ class LogShard {
     }
   }
 
-  // Detach the producer. The logging thread drains what is left, stamps the
-  // kClose completion marker, and (when pooled) parks the shard for reuse.
+  // Detach the producer for good; the producer must not touch the shard
+  // again. The logging thread drains what is left, stamps the kClose
+  // completion marker, syncs, frees the buffers and the descriptor, drops
+  // the shard from its list, and then sets closed().
   void release_producer();
 
   // True once the file has reached the segment size (as of the logging
-  // thread's last write): the producer should retire this shard.
+  // thread's last write): the producer should move to a fresh shard.
   bool segment_full() const {
     return file_bytes_.load(std::memory_order_relaxed) >= segment_bytes_;
   }
 
-  // Detach the producer for good: like release_producer, but the closed
-  // shard is never parked for reuse, its buffers and descriptor are freed,
-  // and truncate_all unlinks its file.
-  void retire_producer() {
-    retired_.store(true, std::memory_order_relaxed);
-    release_producer();  // its release store publishes retired_ too
-  }
+  // True once a released shard's file is complete on disk and its logging
+  // thread will never touch it again: its owner may unlink the file and
+  // free the shard.
+  bool closed() const { return close_done_.load(std::memory_order_acquire); }
 
-  // Park an adopted (pre-existing) file without touching its contents: the
-  // logging thread leaves it alone and the pool may hand it to a future
-  // session. The file keeps its on-disk live/complete state so a recovery
-  // run before reuse still sees the truth about what the crash lost.
-  void park_adopted() { close_done_.store(true, std::memory_order_release); }
-
-  // Re-attach a new producer to a parked (closed) shard. Call only after
-  // claiming the shard from the pool; appends resume into the same file,
-  // whose mid-file kClose marker simply stops being the last record.
-  void reopen(ThreadCounters* counters) {
-    counters_ = counters;
-    cur_ = 0;
-    next_seal_seq_ = 1;
-    prev_ts_valid_ = false;  // the new producer's first record is absolute
-    for (Buf& b : bufs_) {
-      b.wpos = 0;
-    }
-    // Re-derive the append offset: a recovery seal may have trimmed the
-    // file while it sat parked. The logging thread's drain path skips
-    // parked shards (and the close_done_ release below is what re-publishes
-    // the shard to it), but truncate_all DOES visit parked shards to empty
-    // their files — geom_mu_ keeps that from shearing this geometry reset.
-    {
-      std::lock_guard<std::mutex> lock(geom_mu_);
-      off_t end = io::lseek(fd_, 0, SEEK_END);
-      write_off_ = end > 0 ? static_cast<size_t>(end) : 0;
-      prealloc_end_ = write_off_;
-      file_bytes_.store(write_off_, std::memory_order_relaxed);
-    }
-    released_.store(false, std::memory_order_relaxed);
-    close_done_.store(false, std::memory_order_release);
-  }
+  // Timestamp of the last data record the producer appended (0 if none).
+  // Read it only once closed(): release_producer's release store publishes
+  // it, and the logging thread's close_done_ store passes it on.
+  uint64_t last_data_ts_us() const { return prev_ts_us_; }
 
   const std::string& path() const { return path_; }
-  unsigned partition() const { return partition_; }
   // First write/fsync errno, sticky; 0 while healthy. Once set, the logging
   // thread fail-stops this file (drains are discarded) so the on-disk
   // content stays a clean prefix of the record stream.
@@ -388,7 +356,7 @@ class LogShard {
   // is a pure data flush — appends that extend i_size would drag a journal
   // commit into every sync, which on one measured box was the single
   // largest logging cost. The zero-filled preallocated tail reads as a torn
-  // record (len 0) and is trimmed at close/adoption/recovery-seal time.
+  // record (len 0) and is trimmed at close, reopen or recovery-seal time.
   size_t write_off_ = 0;
   size_t prealloc_end_ = 0;
   // write_off_ as the producer may read it (segment_full).
@@ -398,10 +366,6 @@ class LogShard {
   uint64_t last_fsync_us_ = 0;         // group-commit force cadence
   uint64_t last_mark_us_ = 0;          // heartbeat-marker pacing
   size_t unsynced_bytes_ = 0;          // written since the last fdatasync
-  // Serializes the two geometry writers that CAN overlap: a claimant's
-  // reopen() against the logging thread's truncate round (which also empties
-  // parked files). Never taken on the append fast path.
-  std::mutex geom_mu_;
 
   // Sever any incomplete tail left by a crash before appending: fresh
   // records would otherwise land after the torn bytes, where recovery
@@ -594,7 +558,6 @@ class LogShard {
   static constexpr size_t kCompressScratchBytes = 40 << 10;
 
   std::string path_;
-  unsigned partition_;
   size_t segment_bytes_;
   int fd_;
   size_t compress_threshold_;            // 0 disables compression
@@ -603,60 +566,20 @@ class LogShard {
   uint64_t next_seal_seq_ = 1;           // producer-owned
   // Delta-timestamp chain (producer-owned): valid when the previous data
   // record in this shard can serve as the delta base — reset at half
-  // flips (each half starts absolute, so halves stay self-contained) and
-  // when the writer's truncate round discards the base (rebase_needed_).
+  // flips (each half starts absolute, so halves stay self-contained).
   uint64_t prev_ts_us_ = 0;
   bool prev_ts_valid_ = false;
-  std::atomic<bool> rebase_needed_{false};
-  // Writer-thread-owned: set by truncate_round; while set, drain passes
-  // drop leading delta records (their base was discarded) until the
-  // producer's first absolute record re-anchors the chain.
-  bool skip_dangling_ = false;
   std::atomic<uint64_t> begin_total_{0};  // bytes announced (pre-timestamp)
   std::atomic<uint64_t> pub_total_{0};   // cumulative bytes published
   std::atomic<uint64_t> drain_total_{0}; // cumulative bytes consumed by writer
   std::unique_ptr<std::string> jumbo_;
   std::atomic<bool> jumbo_pending_{false};
   std::atomic<bool> released_{false};    // producer detached
-  std::atomic<bool> retired_{false};     // ...for good (retire_producer)
-  std::atomic<bool> close_done_{false};  // writer stamped kClose; parked
+  std::atomic<bool> close_done_{false};  // writer closed the file and let go
   std::atomic<int> error_{0};
   io::IoErrorDetail error_detail_;       // ctor-time only; see accessor
   ThreadCounters* counters_;             // producer's sink (may be null)
   LogWriter* writer_ = nullptr;          // set by LogWriter::add_shard
-};
-
-// Free-list of closed shards so session churn reuses files and arenas
-// instead of growing both without bound.
-class LogShardPool {
- public:
-  void park(LogShard* s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(s);
-  }
-
-  // Prefers a shard drained by the requested partition's logging thread so
-  // reuse keeps its drain affinity; falls back to any parked shard.
-  LogShard* try_claim(unsigned preferred_partition) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i]->partition() == preferred_partition) {
-        LogShard* s = free_[i];
-        free_.erase(free_.begin() + static_cast<long>(i));
-        return s;
-      }
-    }
-    if (free_.empty()) {
-      return nullptr;
-    }
-    LogShard* s = free_.back();
-    free_.pop_back();
-    return s;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<LogShard*> free_;
 };
 
 // Background logging thread: drains every registered shard with one
@@ -668,8 +591,7 @@ class LogWriter {
     bool fsync_on_flush = true;
   };
 
-  explicit LogWriter(Options opt, LogShardPool* pool = nullptr)
-      : opt_(opt), pool_(pool), adaptive_wait_ms_(opt.flush_interval_ms) {}
+  explicit LogWriter(Options opt) : opt_(opt), adaptive_wait_ms_(opt.flush_interval_ms) {}
 
   ~LogWriter() { stop(); }
 
@@ -719,7 +641,8 @@ class LogWriter {
 
   // Force everything published so far to storage and stamp heartbeat
   // markers where safe. Blocks until a full round that began after this
-  // call has completed (its fdatasync included).
+  // call has completed (its fdatasync included); that round also closes
+  // every shard released before the call.
   void sync() {
     std::unique_lock<std::mutex> lock(mu_);
     if (stop_) {
@@ -729,20 +652,6 @@ class LogWriter {
     kicked_ = true;
     cv_.notify_all();
     done_cv_.wait(lock, [&] { return sync_done_ >= my || stop_; });
-  }
-
-  // Discard all buffered records and truncate every shard file to empty.
-  // Runs on the logging thread at a round boundary, so it can never shear
-  // an in-flight write (the flush/truncate race the mutexed design had).
-  void truncate_all() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stop_) {
-      return;
-    }
-    uint64_t my = ++trunc_req_;
-    kicked_ = true;
-    cv_.notify_all();
-    done_cv_.wait(lock, [&] { return trunc_done_ >= my || stop_; });
   }
 
   uint64_t bytes_written() const { return bytes_written_.load(std::memory_order_relaxed); }
@@ -772,33 +681,25 @@ class LogWriter {
  private:
   void loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    uint64_t last_trunc = 0;
     while (!stop_) {
       cv_.wait_for(lock, std::chrono::milliseconds(adaptive_wait_ms_), [&] {
-        return stop_ || kicked_ || sync_req_ > sync_done_ || trunc_req_ > trunc_done_;
+        return stop_ || kicked_ || sync_req_ > sync_done_;
       });
       if (stop_) {
         break;
       }
       kicked_ = false;
       uint64_t sync_goal = sync_req_;
-      uint64_t trunc_goal = trunc_req_;
       lock.unlock();
       refresh_cache();
-      if (trunc_goal > last_trunc) {
-        truncate_round();
-        last_trunc = trunc_goal;
-      } else {
-        size_t bytes = round(/*closing=*/false, /*force_sync=*/sync_goal > sync_done_);
-        // Adaptive high-water: while rounds drain full halves, shrink the
-        // deadline so commits stay large-but-frequent instead of stalling
-        // producers; fall back to the safety interval when traffic ebbs.
-        adaptive_wait_ms_ = bytes >= (256u << 10)
-                                ? std::max<uint64_t>(1, opt_.flush_interval_ms / 8)
-                                : opt_.flush_interval_ms;
-      }
+      size_t bytes = round(/*closing=*/false, /*force_sync=*/sync_goal > sync_done_);
+      // Adaptive high-water: while rounds drain full halves, shrink the
+      // deadline so commits stay large-but-frequent instead of stalling
+      // producers; fall back to the safety interval when traffic ebbs.
+      adaptive_wait_ms_ = bytes >= (256u << 10)
+                              ? std::max<uint64_t>(1, opt_.flush_interval_ms / 8)
+                              : opt_.flush_interval_ms;
       lock.lock();
-      trunc_done_ = last_trunc;
       sync_done_ = sync_goal;
       done_cv_.notify_all();
     }
@@ -809,7 +710,6 @@ class LogWriter {
     stop_flag_.store(true, std::memory_order_release);
     lock.lock();
     sync_done_ = sync_req_;
-    trunc_done_ = trunc_req_;
     done_cv_.notify_all();
   }
 
@@ -826,10 +726,30 @@ class LogWriter {
     for (LogShard* s : cache_) {
       total += drain_shard(*s, closing, force_sync);
     }
+    if (!closed_.empty()) {
+      drop_closed();
+    }
     if (total > 0) {
       flushes_.fetch_add(1, std::memory_order_relaxed);
     }
     return total;
+  }
+
+  // Shards closed this round leave both lists before close_done_ is set:
+  // from that store on, their owner may free them at any time.
+  void drop_closed() {
+    auto gone = [&](LogShard* s) {
+      return std::find(closed_.begin(), closed_.end(), s) != closed_.end();
+    };
+    {
+      std::lock_guard<std::mutex> lock(shards_mu_);
+      std::erase_if(shards_, gone);
+    }
+    std::erase_if(cache_, gone);
+    for (LogShard* s : closed_) {
+      s->close_done_.store(true, std::memory_order_release);
+    }
+    closed_.clear();
   }
 
   // One shard's group commit. Returns bytes drained. Drains run as often as
@@ -838,9 +758,6 @@ class LogWriter {
   // paper's 200 ms), on explicit sync()s, and at close — not per drain,
   // which would burn the write path's CPU budget on journal commits.
   size_t drain_shard(LogShard& s, bool closing, bool force_sync) {
-    if (s.close_done_.load(std::memory_order_acquire)) {
-      return 0;  // parked in the pool: no producer, file already complete
-    }
     uint64_t pub_before = s.pub_total_.load(std::memory_order_acquire);
     uint64_t t0 = wall_us();
     size_t bytes = drain_pass(s);
@@ -867,20 +784,6 @@ class LogWriter {
         if (tr == 0) {
           s.prealloc_end_ = s.write_off_;
         }
-      }
-      for (LogShard::Buf& b : s.bufs_) {
-        b.drained = 0;
-        b.published.store(0, std::memory_order_relaxed);
-        b.full.store(false, std::memory_order_relaxed);
-      }
-      s.close_done_.store(true, std::memory_order_release);
-      // A fail-stopped shard never re-enters the pool: a session claiming
-      // it would log into a file that silently discards everything. Fresh
-      // sessions mint a fresh (healthy) file instead. Neither does a
-      // retired (full) segment.
-      if (pool_ != nullptr && !closing && s.error() == 0 &&
-          !s.retired_.load(std::memory_order_relaxed)) {
-        pool_->park(&s);
       }
     } else if (begin_after == pub_before &&
                (force_sync ||
@@ -928,15 +831,16 @@ class LogWriter {
       s.unsynced_bytes_ = 0;
       syncs_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (released && s.retired_.load(std::memory_order_relaxed)) {
-      free_retired(s);  // closed and synced above
+    if (released) {
+      free_closed(s);  // closed and synced above
+      closed_.push_back(&s);
     }
     return bytes;
   }
 
-  // A retired segment is complete on disk: give back its arena halves and
-  // its descriptor. Logging thread only; the producer has moved on.
-  static void free_retired(LogShard& s) {
+  // A released shard's file is complete on disk: give back its arena halves
+  // and its descriptor. The producer has gone, so nothing else reads them.
+  static void free_closed(LogShard& s) {
     for (LogShard::Buf& b : s.bufs_) {
       b.data.reset();
       b.cap = 0;
@@ -956,9 +860,6 @@ class LogWriter {
     int niov = 0;
     size_t jumbo_bytes = 0;
     if (s.jumbo_pending_.load(std::memory_order_acquire)) {
-      // Jumbo records always carry absolute timestamps, so one re-anchors
-      // the delta chain just like a producer rebase would.
-      s.skip_dangling_ = false;
       jumbo_bytes = s.jumbo_->size();
       iov[niov].iov_base = s.jumbo_->data();
       iov[niov].iov_len = jumbo_bytes;
@@ -1011,20 +912,6 @@ class LogWriter {
     if ((v[0].full && v[1].full && v[0].seq > v[1].seq) || (!v[0].full && v[1].full)) {
       std::swap(v[0], v[1]);
     }
-    // After a truncate round, leading delta records are dangling — their
-    // base was discarded — so consume them from the arena without writing
-    // until the producer's first absolute record arrives (views are in
-    // file order here, so this scans the oldest pending bytes first).
-    if (MT_UNLIKELY(s.skip_dangling_)) {
-      for (View& view : v) {
-        if (view.take > view.b->drained) {
-          skip_dangling_records(s, *view.b, view.take);
-        }
-        if (!s.skip_dangling_) {
-          break;
-        }
-      }
-    }
     size_t buf_bytes = 0;
     for (View& view : v) {
       LogShard::Buf& b = *view.b;
@@ -1059,36 +946,6 @@ class LogWriter {
       }
     }
     return jumbo_bytes + buf_bytes;
-  }
-
-  // Advance b.drained past records whose delta base a truncate discarded.
-  // Arena content is producer-encoded data records at record-aligned
-  // offsets, so the cheap frame walk below cannot misparse; if it somehow
-  // fails anyway we stop skipping and let recovery's CRC checks rule.
-  void skip_dangling_records(LogShard& s, LogShard::Buf& b, size_t take) {
-    const char* base = b.data.get();
-    size_t pos = b.drained;
-    while (pos < take) {
-      uint64_t len;
-      const char* q = vint::get(base + pos, base + take, &len);
-      if (q == nullptr ||
-          static_cast<size_t>(len) + sizeof(uint32_t) >
-              take - static_cast<size_t>(q - base)) {
-        s.skip_dangling_ = false;
-        break;
-      }
-      uint8_t tag = static_cast<uint8_t>(*q);
-      if (!(tag & logwire::kFlagDeltaTs)) {
-        s.skip_dangling_ = false;  // absolute record re-anchors the chain
-        break;
-      }
-      pos = static_cast<size_t>(q - base) + static_cast<size_t>(len) +
-            sizeof(uint32_t);
-    }
-    if (pos > b.drained) {
-      s.drain_total_.fetch_add(pos - b.drained, std::memory_order_release);
-      b.drained = pos;
-    }
   }
 
   // Grow the preallocated extent window so the coming pwrites stay inside
@@ -1185,75 +1042,6 @@ class LogWriter {
     writev_all(s, &iov, 1);
   }
 
-  void truncate_round() {
-    std::vector<LogShard*> unlinked;
-    for (LogShard* s : cache_) {
-      drain_discard(*s);
-      if (s->released_.load(std::memory_order_acquire) &&
-          s->retired_.load(std::memory_order_relaxed)) {
-        // A retired segment goes away whole, closed or not: its producer
-        // has moved on to another file.
-        if (!s->close_done_.load(std::memory_order_relaxed)) {
-          s->close_done_.store(true, std::memory_order_release);
-          free_retired(*s);
-        }
-        io::unlink(s->path().c_str());
-        unlinked.push_back(s);
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(s->geom_mu_);
-        int tr;
-        while ((tr = io::ftruncate(s->fd_, 0)) != 0 && errno == EINTR) {
-        }
-        if (tr != 0) {
-          note_error(*s, "ftruncate", errno);
-        }
-        s->write_off_ = 0;
-        s->prealloc_end_ = 0;
-        s->unsynced_bytes_ = 0;
-        s->file_bytes_.store(0, std::memory_order_relaxed);
-      }
-      // The discarded bytes may include the producer's delta base. Tell it
-      // to re-anchor (any append ordered after truncate_all's return sees
-      // this store), and drop the dangling delta records a concurrent
-      // append may still slip in before noticing.
-      s->rebase_needed_.store(true, std::memory_order_release);
-      s->skip_dangling_ = true;
-    }
-    if (!unlinked.empty()) {
-      // Unlinked segments leave this writer for good (their owner keeps
-      // the objects); later rounds never visit them again.
-      std::lock_guard<std::mutex> lock(shards_mu_);
-      std::erase_if(shards_, [&](LogShard* s) {
-        return std::find(unlinked.begin(), unlinked.end(), s) != unlinked.end();
-      });
-      ++shards_gen_;
-    }
-  }
-
-  // Consume everything published without writing it (truncate semantics:
-  // buffered records are dropped too). Runs on this thread, so no write can
-  // be in flight concurrently.
-  void drain_discard(LogShard& s) {
-    if (s.jumbo_pending_.load(std::memory_order_acquire)) {
-      s.drain_total_.fetch_add(s.jumbo_->size(), std::memory_order_release);
-      s.jumbo_pending_.store(false, std::memory_order_release);
-    }
-    for (LogShard::Buf& b : s.bufs_) {
-      size_t p = b.published.load(std::memory_order_acquire);
-      if (p > b.drained) {
-        s.drain_total_.fetch_add(p - b.drained, std::memory_order_release);
-        b.drained = p;
-      }
-      if (b.full.load(std::memory_order_acquire)) {
-        b.drained = 0;
-        b.published.store(0, std::memory_order_relaxed);
-        b.full.store(false, std::memory_order_release);
-      }
-    }
-  }
-
   void note_error(LogShard& s, const char* syscall, int err) {
     s.error_.store(err, std::memory_order_relaxed);
     record_first_error(io::IoErrorDetail{syscall, s.path(), s.write_off_, err});
@@ -1274,7 +1062,6 @@ class LogWriter {
   }
 
   Options opt_;
-  LogShardPool* pool_;
   std::thread thread_;
 
   std::mutex mu_;
@@ -1283,7 +1070,6 @@ class LogWriter {
   bool stop_ = false;
   bool kicked_ = false;
   uint64_t sync_req_ = 0, sync_done_ = 0;
-  uint64_t trunc_req_ = 0, trunc_done_ = 0;
   std::atomic<bool> stop_flag_{false};
 
   std::mutex shards_mu_;
@@ -1291,6 +1077,7 @@ class LogWriter {
   uint64_t shards_gen_ = 0;
   std::vector<LogShard*> cache_;
   uint64_t cache_gen_ = 0;
+  std::vector<LogShard*> closed_;  // closed this round (logging thread only)
 
   uint64_t adaptive_wait_ms_;
 
@@ -1315,8 +1102,11 @@ inline bool LogShard::writer_stopped() const {
 }
 
 inline void LogShard::release_producer() {
+  LogWriter* w = writer_;  // once released_ is seen, the shard may be freed
   released_.store(true, std::memory_order_release);
-  kick_writer();
+  if (w != nullptr) {
+    w->kick();
+  }
 }
 
 // Convenience wrapper: one shard drained by its own logging thread. Appends
@@ -1341,7 +1131,7 @@ class Logger {
 
   Logger(const std::string& path, Options opt)
       : writer_(LogWriter::Options{opt.flush_interval_ms, opt.fsync_on_flush}),
-        shard_(path, opt.buffer_bytes, 0, &counters_, opt.compress_threshold) {
+        shard_(path, opt.buffer_bytes, &counters_, opt.compress_threshold) {
     writer_.add_shard(&shard_);
     writer_.start();
   }
@@ -1369,13 +1159,6 @@ class Logger {
   // tests); stamps a heartbeat marker when safe so this log's last
   // timestamp covers the synced records (§5 recovery cutoff).
   void sync() { writer_.sync(); }
-
-  // Discard everything written so far (after a checkpoint has made old
-  // records redundant: §5 "allows log space to be reclaimed"). Buffered
-  // records are dropped too — callers sync() first if they want them. The
-  // truncation rendezvouses with the logging thread at a round boundary, so
-  // it cannot shear an in-flight flush.
-  void truncate() { writer_.truncate_all(); }
 
   const std::string& path() const { return shard_.path(); }
   uint64_t bytes_written() const { return writer_.bytes_written(); }

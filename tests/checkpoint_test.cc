@@ -374,7 +374,7 @@ TEST(CheckpointRestore, ZeroReplayThreadsReplayLogs) {
   expect_store_matches(restored, oracle);
 }
 
-// Four sessions write four logs around a 4-part checkpoint; one replay
+// Four sessions write eight logs around a 4-part checkpoint; one replay
 // thread must restore all of it, the logs read one at a time.
 TEST(CheckpointRestore, OneThreadRestoresFourPartsAndFourLogs) {
   TempDir ckpt("one-thread");
@@ -395,7 +395,9 @@ TEST(CheckpointRestore, OneThreadRestoresFourPartsAndFourLogs) {
     }
   }
   EXPECT_EQ(read_manifest(ckpt.str()).parts, 4u);
-  EXPECT_EQ(list_log_files(logs.str()).size(), 4u);
+  // Each session writes one file before the checkpoint and, having rolled
+  // at its first write after it, one after.
+  EXPECT_EQ(list_log_files(logs.str()).size(), 8u);
   Store restored;
   Store::RecoveryResult res = restored.recover(ckpt.str(), logs.str(), 1);
   EXPECT_TRUE(res.used_checkpoint);

@@ -115,9 +115,8 @@ struct RunResult {
   // Phases whose end-of-phase sync_logs() returned with the cut not yet
   // fired: everything up to and including phase `acked` is durable.
   int acked_phases = 0;
-  // Phases covered by the last checkpoint whose checkpoint() +
-  // truncate_logs() completed with the cut not yet fired: its manifest
-  // rename landed on the frozen image.
+  // Phases covered by the last checkpoint() that completed with the cut
+  // not yet fired: its manifest rename landed on the frozen image.
   int ckpt_phases = 0;
 };
 
@@ -153,29 +152,35 @@ RunResult RunWorkload(const std::string& log_dir, const std::string& ckpt_dir,
     rr.acked_phases = 2;
   }
   // Checkpoint between the acked phases and the tail, then reclaim the log
-  // space it covers — the §5 sequence whose crash window (manifest renamed
-  // but logs truncated, or vice versa) the sweep must cross.
+  // space it covers only after the next phase's writes are acknowledged —
+  // the §5 sequence whose crash windows (manifest renamed but logs not yet
+  // unlinked, or vice versa) the sweep must cross, and the order in which
+  // truncation once dropped acknowledged writes made after the checkpoint.
   auto checkpoint = [&](int covered) {
     bool ck = store.checkpoint(ckpt_dir, 2);
-    if (ck) {
-      store.truncate_logs();
-    }
     if (ck && pre_cut()) {
       rr.ckpt_phases = covered;
     }
+    return ck;
   };
-  checkpoint(2);
+  bool first = checkpoint(2);
   run_phase(phases[2]);
   if (pre_cut()) {
     rr.acked_phases = 3;
   }
+  if (first) {
+    store.truncate_logs();
+  }
   // Re-checkpoint into the same directory: the committed manifest's parts
   // must stay intact until the new manifest is durable, or a cut in here
-  // loses phases A+B (their log records were truncated above).
-  checkpoint(3);
+  // loses phases A+B (their log records were unlinked above).
+  bool second = checkpoint(3);
   run_phase(phases[3]);
   if (pre_cut()) {
     rr.acked_phases = 4;
+  }
+  if (second) {
+    store.truncate_logs();
   }
   return rr;
 }
@@ -283,20 +288,19 @@ TEST(CrashTorture, CutEverySyscallBoundary) {
 }
 
 // The same phases written below the Store, straight into log shards whose
-// segment size is one byte: every write is synced and then retires its
+// segment size is one byte: every write is synced and then releases its
 // file (the Store's roll — kClose, buffers and descriptor freed, never
-// reused) for a fresh log-<n>.bin, whose directory entry is synced before
-// the commit that acknowledges its first record.
+// written again) for a fresh log-<n>.bin, whose directory entry is synced
+// before the commit that acknowledges its first record.
 RunResult RunSegmentedLogWorkload(const std::string& log_dir, const std::vector<Phase>& phases,
                                   io::FaultPlan* plan) {
   auto pre_cut = [&] { return plan == nullptr || !plan->cut_fired(); };
   RunResult rr;
-  LogShardPool pool;
-  LogWriter writer(LogWriter::Options{}, &pool);
+  LogWriter writer(LogWriter::Options{});
   std::vector<std::unique_ptr<LogShard>> files;
   auto roll = [&] {
     std::string path = Store::log_path(log_dir, static_cast<unsigned>(files.size()));
-    files.push_back(std::make_unique<LogShard>(path, 4 << 10, 0, nullptr, 128,
+    files.push_back(std::make_unique<LogShard>(path, 4 << 10, nullptr, 128,
                                                /*segment_bytes=*/1));
     writer.add_shard(files.back().get());
   };
@@ -313,7 +317,7 @@ RunResult RunSegmentedLogWorkload(const std::string& log_dir, const std::vector<
       }
       writer.sync();
       if (log.segment_full()) {
-        log.retire_producer();
+        log.release_producer();
         roll();
       }
     }

@@ -1,6 +1,6 @@
 // Log encoding, wait-free per-worker buffers, group commit, and
 // recovery-cutoff tests (§5), including failure injection (torn tails,
-// corrupt records, full disks) and a multi-writer append/sync/truncate
+// corrupt records, full disks) and a multi-writer append/sync/roll
 // stress over the LogShard/LogWriter stack.
 
 #include <gtest/gtest.h>
@@ -335,9 +335,8 @@ TEST(LogRecord, HeaderlessStartHasNoRecords) {
     f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
   }
   {
-    LogShardPool pool;
-    LogWriter writer({5, true}, &pool);
-    LogShard shard(path, 4 << 10, 0, nullptr);
+    LogWriter writer({5, true});
+    LogShard shard(path, 4 << 10, nullptr);
     EXPECT_EQ(shard.error(), 0);
     EXPECT_EQ(std::filesystem::file_size(path), 0u);
     writer.add_shard(&shard);
@@ -649,7 +648,7 @@ TEST(Logger, MixedSlowPathsInOneBatch) {
     LogWriter writer(wopt);
     // 1 KiB halves hold the 20- and 70-column records but not the jumbo;
     // compression off keeps the jumbo at its raw 8 KiB.
-    LogShard shard(path, 1 << 10, 0, &counters, /*compress_threshold=*/0);
+    LogShard shard(path, 1 << 10, &counters, /*compress_threshold=*/0);
     writer.add_shard(&shard);
     writer.start();
     shard.append_batch(ops);
@@ -715,72 +714,6 @@ TEST(Logger, CompressedLargeValueStaysInArena) {
   EXPECT_EQ(entries[0].columns[0].second, value);
 }
 
-TEST(Logger, TruncateDropsOldKeepsNew) {
-  std::string path = TempPath("logger_trunc.bin");
-  std::remove(path.c_str());
-  Logger log(path);
-  log.append_put("old", {{0, "gone"}}, 1);
-  log.sync();
-  log.truncate();
-  EXPECT_EQ(std::filesystem::file_size(path), 0u);
-  log.append_put("new", {{0, "kept"}}, 2);
-  log.sync();
-  auto entries = read_log_file(path);
-  size_t puts = 0;
-  for (const auto& e : entries) {
-    if (e.type == LogType::kPut) {
-      ++puts;
-      EXPECT_EQ(e.key, "new");
-    }
-  }
-  EXPECT_EQ(puts, 1u);
-}
-
-// The old design's race: truncate() could ftruncate the fd while the flush
-// (which had dropped the lock) was mid-::write, shearing the tail. Now the
-// truncation runs on the logging thread at a round boundary, so hammering
-// truncate against a full-throttle producer must always leave a cleanly
-// decodable file whose records are a subset of what was appended, in order.
-TEST(Logger, TruncateRendezvousesWithInFlightFlush) {
-  std::string path = TempPath("logger_trunc_race.bin");
-  std::remove(path.c_str());
-  Logger::Options opt;
-  opt.flush_interval_ms = 1;
-  opt.buffer_bytes = 2 << 10;
-  opt.fsync_on_flush = false;  // maximize flush frequency
-  constexpr int kRecords = 20000;
-  {
-    Logger log(path, opt);
-    std::thread producer([&] {
-      for (int i = 0; i < kRecords; ++i) {
-        log.append_put("key" + std::to_string(i), {{0, "0123456789abcdef"}}, i + 1);
-      }
-    });
-    for (int i = 0; i < 50; ++i) {
-      log.truncate();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      log.sync();
-    }
-    producer.join();
-    log.sync();
-    EXPECT_EQ(log.error(), 0);
-  }
-  std::string bytes = read_whole_file(path);
-  std::vector<LogEntry> entries;
-  // Every surviving byte must decode: no shear, no corruption.
-  ASSERT_EQ(logwire::decode_all(bytes, &entries), bytes.size());
-  uint64_t last_version = 0;
-  for (const auto& e : entries) {
-    if (e.type != LogType::kPut) {
-      continue;
-    }
-    EXPECT_GT(e.version, last_version);  // order preserved across truncates
-    last_version = e.version;
-    EXPECT_EQ(e.key, "key" + std::to_string(e.version - 1));
-  }
-  EXPECT_LE(last_version, static_cast<uint64_t>(kRecords));
-}
-
 TEST(Logger, StickyErrorSurfacesOnFullDisk) {
   if (::access("/dev/full", W_OK) != 0) {
     GTEST_SKIP() << "/dev/full not available";
@@ -808,34 +741,35 @@ size_t OpenFds() {
   return n;
 }
 
-// A shard whose file reaches its segment size is retired: the logging
-// thread drains it, closes it with kClose, frees its arena halves and its
-// descriptor, and never parks it for reuse. The producer goes on in the
-// next file, and truncate_all unlinks the retired one while it empties the
-// live one.
-TEST(LogSegments, RetiredShardIsClosedFreedAndUnlinked) {
+// A shard whose file reaches its segment size is released like any
+// other: the logging thread drains it, closes it with kClose, frees its
+// arena halves and its descriptor, and drops it from its list before
+// closed() reads true, so its owner may free it at once while the producer
+// goes on in the next file.
+TEST(LogSegments, ReleasedShardIsClosedFreedAndDropped) {
   constexpr size_t kSegment = 4 << 10;
   constexpr size_t kHalf = 1 << 10;
   std::string first_path = TempPath("segment-0.bin");
   std::string next_path = TempPath("segment-1.bin");
   std::remove(first_path.c_str());
   std::remove(next_path.c_str());
-  LogShardPool pool;
-  LogWriter writer({1, true}, &pool);
-  LogShard first(first_path, kHalf, 0, nullptr, 128, kSegment);
-  writer.add_shard(&first);
+  LogWriter writer({1, true});
+  auto first = std::make_unique<LogShard>(first_path, kHalf, nullptr, 128, kSegment);
+  writer.add_shard(first.get());
   writer.start();
   uint64_t version = 0;
-  while (!first.segment_full()) {
+  while (!first->segment_full()) {
     ++version;
-    first.append_put("k" + std::to_string(version), {{0, std::string(100, 'x')}}, version);
+    first->append_put("k" + std::to_string(version), {{0, std::string(100, 'x')}}, version);
     writer.sync();
   }
   size_t fds = OpenFds();
-  first.retire_producer();
+  first->release_producer();
   writer.sync();
+  ASSERT_TRUE(first->closed());
   EXPECT_EQ(OpenFds(), fds - 1);
-  EXPECT_EQ(pool.try_claim(0), nullptr);
+  EXPECT_GT(first->last_data_ts_us(), 0u);
+  first.reset();  // the writer must never touch it again (ASan checks)
   std::vector<LogEntry> entries = read_log_file(first_path);
   ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries.back().type, LogType::kClose);
@@ -845,119 +779,120 @@ TEST(LogSegments, RetiredShardIsClosedFreedAndUnlinked) {
   }
   EXPECT_EQ(puts, version);
   EXPECT_LE(std::filesystem::file_size(first_path), kSegment + 2 * kHalf);
+  const std::string first_bytes = read_whole_file(first_path);
 
-  LogShard next(next_path, kHalf, 0, nullptr, 128, kSegment);
+  LogShard next(next_path, kHalf, nullptr, 128, kSegment);
   writer.add_shard(&next);
   next.append_put("after", {{0, "v"}}, ++version);
   writer.sync();
-  writer.truncate_all();
-  EXPECT_FALSE(std::filesystem::exists(first_path));
-  EXPECT_EQ(std::filesystem::file_size(next_path), 0u);
-  next.append_put("after-truncate", {{0, "v"}}, ++version);
+  next.append_put("after-sync", {{0, "v"}}, ++version);
   writer.stop();
+  EXPECT_FALSE(next.closed());  // stopped, not released: its owner frees it
+  EXPECT_EQ(read_whole_file(first_path), first_bytes);
   entries = read_log_file(next_path);
-  ASSERT_GE(entries.size(), 2u);
+  ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries.back().type, LogType::kClose);
+  std::vector<std::string> keys;
+  for (const LogEntry& e : entries) {
+    if (e.type == LogType::kPut) {
+      keys.push_back(e.key);
+    }
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"after", "after-sync"}));
 }
 
 // ---------------- multi-writer stress over LogWriter ----------------
 
-// Four producer threads, each owning a shard, all drained by one logging
-// thread while the main thread hammers sync() and truncate_all(). After a
-// final barrier + truncate, a tagged second phase must survive verbatim
-// (oracle diff); phase-1 survivors must be a clean ordered subset.
-TEST(LogWriterStress, ConcurrentAppendSyncTruncate) {
+// Four producer threads each append through a chain of shards, releasing
+// the current one and adding a fresh one to the shared logging thread every
+// kPerFile records, and freeing the shards that have closed; the main
+// thread hammers sync() meanwhile. Every record must survive verbatim, in
+// append order, split across the thread's files (oracle diff).
+TEST(LogWriterStress, ConcurrentAppendSyncRoll) {
   constexpr unsigned kThreads = 4;
-  constexpr uint64_t kPhase1 = 3000, kPhase2 = 1500;
+  constexpr uint64_t kRecords = 4500, kPerFile = 700;
   constexpr uint64_t kTag = 1000000;  // version space per thread
-  std::vector<std::string> paths;
-  LogShardPool pool;
+  constexpr uint64_t kFiles = (kRecords + kPerFile - 1) / kPerFile;
   LogWriter::Options wopt;
   wopt.flush_interval_ms = 1;
   wopt.fsync_on_flush = false;
-  LogWriter writer(wopt, &pool);
-  std::vector<std::unique_ptr<LogShard>> shards;
+  LogWriter writer(wopt);
   std::vector<ThreadCounters> counters(kThreads);
+  auto path = [](unsigned t, uint64_t f) {
+    return TempPath("stress-log-" + std::to_string(t) + "-" + std::to_string(f) + ".bin");
+  };
   for (unsigned t = 0; t < kThreads; ++t) {
-    paths.push_back(TempPath("stress-log-" + std::to_string(t) + ".bin"));
-    std::remove(paths.back().c_str());
-    shards.push_back(std::make_unique<LogShard>(paths.back(), 4 << 10, 0,
-                                                &counters[t]));
-    writer.add_shard(shards.back().get());
+    for (uint64_t f = 0; f < kFiles; ++f) {
+      std::remove(path(t, f).c_str());
+    }
   }
   writer.start();
 
-  std::atomic<bool> phase2{false};
-  std::atomic<unsigned> phase1_done{0};
+  std::atomic<unsigned> done{0};
+  std::vector<std::vector<std::unique_ptr<LogShard>>> owned(kThreads);
   std::vector<std::thread> producers;
   for (unsigned t = 0; t < kThreads; ++t) {
     producers.emplace_back([&, t] {
-      LogShard& shard = *shards[t];
-      for (uint64_t i = 0; i < kPhase1; ++i) {
-        shard.append_put("p1-" + std::to_string(t) + "-" + std::to_string(i),
-                         {{0, "phase1-value"}}, t * kTag + i + 1);
+      std::vector<std::unique_ptr<LogShard>>& shards = owned[t];
+      LogShard* cur = nullptr;
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        if (i % kPerFile == 0) {
+          if (cur != nullptr) {
+            cur->release_producer();
+          }
+          std::erase_if(shards, [](const auto& s) { return s->closed(); });
+          shards.push_back(std::make_unique<LogShard>(path(t, i / kPerFile), 4 << 10,
+                                                      &counters[t]));
+          cur = shards.back().get();
+          writer.add_shard(cur);
+        }
+        cur->append_put("k-" + std::to_string(t) + "-" + std::to_string(i),
+                        {{0, "value"}}, t * kTag + i + 1);
       }
-      phase1_done.fetch_add(1);
-      while (!phase2.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      for (uint64_t i = 0; i < kPhase2; ++i) {
-        shard.append_put("p2-" + std::to_string(t) + "-" + std::to_string(i),
-                         {{0, "phase2-value"}}, t * kTag + kPhase1 + i + 1);
-      }
-      shard.release_producer();
+      cur->release_producer();
+      done.fetch_add(1);
     });
   }
-
-  // Main thread: sync and truncate against live appends.
-  while (phase1_done.load() != kThreads) {
+  while (done.load() != kThreads) {
     writer.sync();
-    writer.truncate_all();
   }
-  writer.truncate_all();  // final truncate: everything before this may vanish
-  phase2.store(true, std::memory_order_release);
   for (auto& p : producers) {
     p.join();
   }
-  writer.stop();  // drains phase 2, stamps kClose everywhere
+  writer.stop();  // closes whatever is still open
 
   for (unsigned t = 0; t < kThreads; ++t) {
-    std::string bytes = read_whole_file(paths[t]);
-    std::vector<LogEntry> entries;
-    ASSERT_EQ(logwire::decode_all(bytes, &entries), bytes.size()) << paths[t];
-    ASSERT_FALSE(entries.empty());
-    EXPECT_EQ(entries.back().type, LogType::kClose);
-    uint64_t last_version = 0, last_ts = 0;
-    uint64_t phase2_seen = 0;
-    for (const auto& e : entries) {
-      if (e.type != LogType::kPut) {
-        continue;
-      }
-      // Subset of what this thread appended, in append order, ts-monotone.
-      uint64_t local = e.version - t * kTag - 1;
-      ASSERT_LT(local, kPhase1 + kPhase2);
-      std::string want_key =
-          local < kPhase1
-              ? "p1-" + std::to_string(t) + "-" + std::to_string(local)
-              : "p2-" + std::to_string(t) + "-" + std::to_string(local - kPhase1);
-      EXPECT_EQ(e.key, want_key);
-      EXPECT_GT(e.version, last_version);
-      EXPECT_GE(e.timestamp_us, last_ts);
-      last_version = e.version;
-      last_ts = e.timestamp_us;
-      if (local >= kPhase1) {
-        ++phase2_seen;
-      }
+    for (const auto& s : owned[t]) {
+      EXPECT_TRUE(s->closed());
     }
-    // Oracle: the entire post-final-truncate phase survived.
-    EXPECT_EQ(phase2_seen, kPhase2) << "thread " << t;
-    EXPECT_EQ(counters[t].get(Counter::kLogAllocs), 2u) << "thread " << t;
-    EXPECT_EQ(counters[t].get(Counter::kLogAppends), kPhase1 + kPhase2);
+    uint64_t next = 0;
+    for (uint64_t f = 0; f < kFiles; ++f) {
+      std::string bytes = read_whole_file(path(t, f));
+      std::vector<LogEntry> entries;
+      ASSERT_EQ(logwire::decode_all(bytes, &entries), bytes.size()) << path(t, f);
+      ASSERT_FALSE(entries.empty());
+      EXPECT_EQ(entries.back().type, LogType::kClose);
+      uint64_t last_ts = 0;
+      for (const auto& e : entries) {
+        if (e.type != LogType::kPut) {
+          continue;
+        }
+        ASSERT_EQ(e.version, t * kTag + next + 1) << path(t, f);
+        EXPECT_EQ(e.key, "k-" + std::to_string(t) + "-" + std::to_string(next));
+        EXPECT_GE(e.timestamp_us, last_ts);
+        last_ts = e.timestamp_us;
+        ++next;
+      }
+      EXPECT_EQ(next, std::min(kRecords, (f + 1) * kPerFile)) << path(t, f);
+    }
+    EXPECT_EQ(next, kRecords) << "thread " << t;
+    EXPECT_EQ(counters[t].get(Counter::kLogAllocs), 2 * kFiles) << "thread " << t;
+    EXPECT_EQ(counters[t].get(Counter::kLogAppends), kRecords);
   }
 }
 
 // Crash-replay over the shard format: truncate a shard's file at arbitrary
-// byte offsets ("crash"), then adopt it with tail repair and keep appending —
+// byte offsets ("crash"), then reopen it with tail repair and keep appending —
 // recovery must see the intact old prefix followed by the new records.
 TEST(LogWriterStress, TornTailRepairThenAppend) {
   std::string path = TempPath("torn_repair.bin");
@@ -990,10 +925,9 @@ TEST(LogWriterStress, TornTailRepairThenAppend) {
     std::erase_if(prefix, is_marker);
     size_t old_records = prefix.size();
     {
-      // Adopt with repair (what the Store does at startup), then append.
-      LogShardPool pool;
-      LogWriter writer({5, false}, &pool);
-      LogShard shard(torn_path, 4 << 10, 0, nullptr);
+      // Reopen with repair (LogShard's constructor), then append.
+      LogWriter writer({5, false});
+      LogShard shard(torn_path, 4 << 10, nullptr);
       writer.add_shard(&shard);
       writer.start();
       shard.append_put("fresh-a", {{0, "new"}}, 9001);

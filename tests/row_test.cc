@@ -16,7 +16,7 @@ std::atomic<bool> g_count_news{false};
 std::atomic<uint64_t> g_news{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+__attribute__((noinline)) void* operator new(std::size_t n) {
   if (g_count_news.load(std::memory_order_relaxed)) {
     g_news.fetch_add(1, std::memory_order_relaxed);
   }
@@ -25,8 +25,9 @@ void* operator new(std::size_t n) {
   }
   throw std::bad_alloc();
 }
-// Out of line, so the compiler never sees free() meet operator new's
-// pointer at an inlined call site.
+// All three out of line, so the compiler never sees free() meet operator
+// new's pointer at an inlined call site (GCC 12's -Wmismatched-new-delete
+// stops a Release build when it does).
 __attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 

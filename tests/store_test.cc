@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -337,13 +339,21 @@ TEST(Store, LogTruncationAfterCheckpoint) {
     }
     store.sync_logs();
     ASSERT_TRUE(store.checkpoint(ckpt_dir, 2));
+    // The session's first write after the checkpoint moves it to a fresh
+    // file, and truncation unlinks the closed one: every record left on
+    // disk is one the checkpoint does not hold.
+    store.put("t0", {{0, "new0"}}, s);
     store.truncate_logs();
-    uint64_t bytes = 0;
+    uint64_t start_ts_us = read_manifest(ckpt_dir).start_ts_us;
+    size_t records = 0;
     for (const auto& p : list_log_files(log_dir)) {
-      bytes += std::filesystem::file_size(p);
+      for (const LogEntry& e : read_log_file(p)) {
+        EXPECT_GE(e.timestamp_us, start_ts_us) << p;
+        ++records;
+      }
     }
-    EXPECT_EQ(bytes, 0u);
-    for (int i = 0; i < 50; ++i) {
+    EXPECT_GT(records, 0u);
+    for (int i = 1; i < 50; ++i) {
       store.put("t" + std::to_string(i), {{0, "new" + std::to_string(i)}}, s);
     }
     store.sync_logs();
@@ -423,37 +433,46 @@ TEST(Store, BackgroundMaintenanceDrainsLayerGC) {
   EXPECT_EQ(store.tree().pending_maintenance(), 0u);
 }
 
-TEST(Store, SessionChurnReusesLogShards) {
+// Each session writes its own file and closes it for good when it ends;
+// a checkpoint then makes all of them reclaimable.
+TEST(Store, SessionChurnClosesEachFile) {
   std::string dir = FreshDir("store_churn_logs");
+  std::string ckpt_dir = FreshDir("store_churn_ckpt");
   Store::Options opt;
   opt.log_dir = dir;
   opt.log_partitions = 2;
   Store store(opt);
   for (int i = 0; i < 30; ++i) {
-    {
-      Store::Session s(store, 0);
-      store.put("churn" + std::to_string(i), {{0, "v"}}, s);
-      EXPECT_EQ(s.ti().counters().get(Counter::kLogAppends), 1u);
-    }
-    // A full round parks the released shard, so the next session reuses its
-    // file instead of minting log-<n+1>.bin.
-    store.sync_logs();
+    Store::Session s(store, 0);
+    store.put("churn" + std::to_string(i), {{0, "v"}}, s);
+    EXPECT_EQ(s.ti().counters().get(Counter::kLogAppends), 1u);
   }
-  size_t files = list_log_files(dir).size();
-  EXPECT_LE(files, 2u) << "session churn must reuse parked shards";
+  store.sync_logs();
+  std::vector<std::string> files = list_log_files(dir);
+  EXPECT_EQ(files.size(), 30u);
+  for (const std::string& f : files) {
+    std::vector<LogEntry> entries = read_log_file(f);
+    ASSERT_FALSE(entries.empty()) << f;
+    EXPECT_EQ(entries.back().type, LogType::kClose) << f;
+  }
   EXPECT_EQ(store.log_error(), 0);
   EXPECT_GT(store.log_totals().flush_bytes, 0u);
   // Every one of those 30 sessions' records recovers.
   Store recovered;
   auto res = recovered.recover("", dir, 2);
   EXPECT_EQ(res.log_entries_applied, 30u);
+  ASSERT_TRUE(store.checkpoint(ckpt_dir, 1));
+  store.truncate_logs();
+  EXPECT_EQ(list_log_files(dir).size(), 0u);
 }
 
-// A log file already at the segment size when a store opens is a retired
-// segment: no session appends to it again (writes go to a fresh
-// log-<n>.bin) and truncate_logs unlinks it.
-TEST(Store, RestartLeavesFullSegmentsOutOfReuse) {
-  std::string log_dir = FreshDir("store_full_segment_logs");
+// A store opened over existing logs only lists them: it leaves their bytes
+// alone (a torn tail included) until recover() reads and seals them, its
+// sessions write to fresh files, and truncate_logs unlinks the old files
+// once a checkpoint has committed.
+TEST(Store, RestartWritesOnlyToFreshFiles) {
+  std::string log_dir = FreshDir("store_restart_logs");
+  std::string ckpt_dir = FreshDir("store_restart_ckpt");
   Store::Options opt;
   opt.log_dir = log_dir;
   opt.log_partitions = 1;
@@ -466,34 +485,172 @@ TEST(Store, RestartLeavesFullSegmentsOutOfReuse) {
   }
   std::vector<std::string> files = list_log_files(log_dir);
   ASSERT_EQ(files.size(), 1u);
-  const std::string full = files[0];
-  // A zero tail up to the segment size reads like the preallocated extent
-  // a busy segment ends in, and costs no disk (the file is sparse).
-  std::filesystem::resize_file(full, kLogSegmentBytes);
+  const std::string old = files[0];
+  std::ofstream(old, std::ios::binary | std::ios::app) << "\x05" "ab";  // a torn record
+  const std::string old_bytes = read_whole_file(old);
   {
     Store store(opt);
+    EXPECT_EQ(read_whole_file(old), old_bytes);
+    store.recover("", log_dir, 1);
+    const std::string sealed = read_whole_file(old);
     Store::Session s(store, 0);
     for (int i = 0; i < 100; ++i) {
       store.put("new" + std::to_string(i), {{0, "w"}}, s);
     }
     store.sync_logs();
-    EXPECT_EQ(std::filesystem::file_size(full), kLogSegmentBytes);
+    EXPECT_EQ(read_whole_file(old), sealed);
     files = list_log_files(log_dir);
     ASSERT_EQ(files.size(), 2u);
-    const std::string fresh = files[0] == full ? files[1] : files[0];
-    EXPECT_GT(std::filesystem::file_size(fresh), 0u);
+    const std::string fresh = files[0] == old ? files[1] : files[0];
+    ASSERT_TRUE(store.checkpoint(ckpt_dir, 1));
     store.truncate_logs();
-    EXPECT_FALSE(std::filesystem::exists(full));
-    EXPECT_EQ(std::filesystem::file_size(fresh), 0u);
+    EXPECT_FALSE(fs::exists(old));
+    EXPECT_TRUE(fs::exists(fresh));  // its session has not written since
     store.put("after", {{0, "x"}}, s);
   }
   Store recovered;
-  auto res = recovered.recover("", log_dir, 1);
-  EXPECT_EQ(res.log_entries_applied, 1u);
+  auto res = recovered.recover(ckpt_dir, log_dir, 1);
+  EXPECT_EQ(res.checkpoint_records, 200u);
   Store::Session s(recovered, 0);
   std::vector<std::string> out;
+  EXPECT_TRUE(recovered.get("old99", {}, &out, s));
+  EXPECT_TRUE(recovered.get("new99", {}, &out, s));
   EXPECT_TRUE(recovered.get("after", {}, &out, s));
-  EXPECT_FALSE(recovered.get("new0", {}, &out, s));
+}
+
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// A checkpoint moves each writing session to a fresh file at its next
+// batch, through the same roll a full segment takes: the old file is
+// closed with kClose and its descriptor freed.
+TEST(Store, CheckpointRollsWritingSessions) {
+  std::string log_dir = FreshDir("store_roll_logs");
+  std::string ckpt_dir = FreshDir("store_roll_ckpt");
+  Store::Options opt;
+  opt.log_dir = log_dir;
+  opt.log_partitions = 1;
+  std::map<std::string, std::string> oracle;
+  {
+    Store store(opt);
+    Store::Session s(store, 0);
+    auto put = [&](const std::string& k, const std::string& v) {
+      store.put(k, {{0, v}}, s);
+      oracle[k] = v;
+    };
+    for (int i = 0; i < 100; ++i) {
+      put("k" + std::to_string(i), "before");
+    }
+    store.sync_logs();
+    std::vector<std::string> files = list_log_files(log_dir);
+    ASSERT_EQ(files.size(), 1u);
+    const std::string old = files[0];
+    size_t fds = OpenFds();
+    ASSERT_TRUE(store.checkpoint(ckpt_dir, 2));
+    EXPECT_EQ(list_log_files(log_dir).size(), 1u);  // rolls at the next write
+    put("k0", "after");
+    store.sync_logs();
+    EXPECT_EQ(OpenFds(), fds);
+    std::vector<LogEntry> entries = read_log_file(old);
+    ASSERT_FALSE(entries.empty());
+    EXPECT_EQ(entries.back().type, LogType::kClose);
+    files = list_log_files(log_dir);
+    ASSERT_EQ(files.size(), 2u);
+    const std::string fresh = files[0] == old ? files[1] : files[0];
+    size_t puts = 0;
+    for (const LogEntry& e : read_log_file(fresh)) {
+      if (e.type == LogType::kPut) {
+        EXPECT_EQ(e.key, "k0");
+        ++puts;
+      }
+    }
+    EXPECT_EQ(puts, 1u);
+    for (int i = 50; i < 150; ++i) {
+      put("k" + std::to_string(i), "after");
+    }
+  }
+  Store recovered;
+  recovered.recover(ckpt_dir, log_dir, 2);
+  Store::Session s(recovered, 0);
+  std::vector<std::string> out;
+  for (const auto& [k, v] : oracle) {
+    ASSERT_TRUE(recovered.get(k, {}, &out, s)) << k;
+    EXPECT_EQ(out[0], v) << k;
+  }
+  size_t n = recovered.getrange("", 1000, 0, [](auto, auto, auto) { return true; }, s);
+  EXPECT_EQ(n, oracle.size());
+}
+
+// Writers keep re-putting their keys through checkpoint + truncate_logs and
+// stop only after it: every write acknowledged by the final sync recovers
+// with its last value. Truncation used to empty the live logs, losing the
+// writes made after the checkpoint began.
+TEST(Store, TruncateUnderLiveWritersKeepsAcknowledgedWrites) {
+  constexpr unsigned kWriters = 2;
+  constexpr int kKeys = 20000;
+  std::string log_dir = FreshDir("store_live_trunc_logs");
+  std::string ckpt_dir = FreshDir("store_live_trunc_ckpt");
+  Store::Options opt;
+  opt.log_dir = log_dir;
+  opt.log_partitions = 2;
+  auto key = [](unsigned w, int i) {
+    return "w" + std::to_string(w) + "/" + std::to_string(100000 + i);
+  };
+  std::vector<std::vector<uint32_t>> last(kWriters, std::vector<uint32_t>(kKeys, 0));
+  {
+    Store store(opt);
+    std::atomic<bool> stop{false};
+    std::atomic<unsigned> loaded{0};
+    std::vector<std::thread> writers;
+    for (unsigned w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        Store::Session s(store, w);
+        for (uint32_t seq = 1; !stop.load(std::memory_order_acquire); ++seq) {
+          for (int i = 0; i < kKeys && !stop.load(std::memory_order_acquire); ++i) {
+            store.put(key(w, i), {{0, std::to_string(seq)}}, s);
+            last[w][i] = seq;
+          }
+          if (seq == 1) {
+            loaded.fetch_add(1);
+          }
+        }
+      });
+    }
+    while (loaded.load() < kWriters) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(store.checkpoint(ckpt_dir, 2));
+    store.truncate_logs();
+    stop.store(true, std::memory_order_release);
+    for (auto& t : writers) {
+      t.join();
+    }
+    store.sync_logs();
+  }
+  Store recovered;
+  recovered.recover(ckpt_dir, log_dir, 2);
+  Store::Session s(recovered, 0);
+  std::vector<std::string> out;
+  size_t wrong = 0;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeys; ++i) {
+      bool found = recovered.get(key(w, i), {}, &out, s);
+      if (!found || out[0] != std::to_string(last[w][i])) {
+        if (++wrong <= 3) {
+          ADD_FAILURE() << key(w, i) << " recovered "
+                        << (found ? out[0] : std::string("<absent>")) << ", want "
+                        << last[w][i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << kWriters * kKeys << " keys";
 }
 
 // Options::logger.compress_threshold is the Store's one compression knob:
